@@ -37,8 +37,8 @@ use crate::error::ExecError;
 use crate::pipeline::{placeholder_output, ShotPolicy};
 use qt_baselines::{ExecutionRecord, JobFailures, MitigationStrategy, StrategyError};
 use qt_sim::{
-    job_sample_seed, try_run_batch_resilient, BatchJob, FailureStats, RetryPolicy, RunError,
-    RunOutput, Runner, SampledOutput, ShotPlan,
+    job_sample_seed, sample_batch, try_run_batch_resilient, try_sample_batch, BatchJob,
+    FailureStats, RetryPolicy, RunError, RunOutput, Runner, SampledOutput, ShotPlan,
 };
 
 /// One executable round of a session: which round it is, the per-job shot
@@ -351,7 +351,7 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         outputs: Vec<SampledOutput>,
     ) -> Result<(), ExecError> {
         self.check_spec(spec, outputs.len())?;
-        self.absorb_round_unchecked(outputs);
+        self.absorb_round_unchecked(outputs.into_iter().map(Ok));
         Ok(())
     }
 
@@ -372,14 +372,8 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         outputs: &[RunOutput],
     ) -> Result<(), ExecError> {
         self.check_spec(spec, outputs.len())?;
-        let sampled: Vec<SampledOutput> = outputs
-            .iter()
-            .enumerate()
-            .map(|(i, out)| {
-                SampledOutput::from_run(out, spec.shots.shots(i), job_sample_seed(spec.seed, i))
-            })
-            .collect();
-        self.absorb_round_unchecked(sampled);
+        let sampled = sample_batch(outputs, &spec.shots, spec.seed);
+        self.absorb_round_unchecked(sampled.into_iter().map(Ok));
         Ok(())
     }
 
@@ -401,19 +395,25 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         self.check_spec(spec, results.len())?;
         self.fallible = true;
         self.fail_stats.merge(&stats);
+        self.absorb_round_unchecked(try_sample_batch(&results, &spec.shots, spec.seed));
+        Ok(())
+    }
+
+    /// Merges one round's per-job counts into the tally. A failed job
+    /// keeps any counts from earlier rounds and only records its error if
+    /// no round ever produced counts for it.
+    fn absorb_round_unchecked(
+        &mut self,
+        results: impl IntoIterator<Item = Result<SampledOutput, RunError>>,
+    ) {
         let mut round_total = 0u64;
         for (i, res) in results.into_iter().enumerate() {
             match res {
                 Ok(out) => {
-                    let s = SampledOutput::from_run(
-                        &out,
-                        spec.shots.shots(i),
-                        job_sample_seed(spec.seed, i),
-                    );
-                    round_total += s.counts.shots();
+                    round_total += out.counts.shots();
                     match &mut self.acc[i] {
-                        Some(acc) => acc.absorb(&s),
-                        None => self.acc[i] = Some(s),
+                        Some(acc) => acc.absorb(&out),
+                        None => self.acc[i] = Some(out),
                     }
                     self.errors[i] = None;
                 }
@@ -423,21 +423,6 @@ impl<S: MitigationStrategy> MitigationSession<S> {
                     }
                 }
             }
-        }
-        self.round_shots.push(round_total);
-        self.completed_rounds += 1;
-        Ok(())
-    }
-
-    fn absorb_round_unchecked(&mut self, outputs: Vec<SampledOutput>) {
-        let mut round_total = 0u64;
-        for (i, out) in outputs.into_iter().enumerate() {
-            round_total += out.counts.shots();
-            match &mut self.acc[i] {
-                Some(acc) => acc.absorb(&out),
-                None => self.acc[i] = Some(out),
-            }
-            self.errors[i] = None;
         }
         self.round_shots.push(round_total);
         self.completed_rounds += 1;

@@ -13,6 +13,10 @@
 //!   runs with `f64::to_bits` equality.
 //! * **Typed errors, never panics.** Arbitrary request bytes must yield
 //!   [`JsonError`], keeping the server's parse path panic-free.
+//! * **Linear time.** Parsing is one pass over the input: string literals
+//!   copy each run of ordinary bytes whole, so a 16 MiB request body costs
+//!   milliseconds, not the quadratic time of re-validating the remaining
+//!   input per character.
 //!
 //! Outcome indices (`u64`) are *not* encoded as JSON numbers — values
 //! above 2^53 would be corrupted by readers that go through `f64`. The
@@ -356,10 +360,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Decodes a string literal in one linear pass: each run of ordinary
+    /// bytes up to the next `"`, `\\` or control byte is copied whole.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            // The input is a `&str` and the run stops at an ASCII byte or
+            // the end, so it holds whole UTF-8 scalars.
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -410,16 +425,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -462,9 +468,13 @@ impl<'a> Parser<'a> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number spans ascii bytes");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        // Overflowing literals (`1e999`) are rejected rather than decoded
+        // to an infinity the writer could not reproduce.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 

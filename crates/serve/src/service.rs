@@ -47,7 +47,7 @@ use qt_sim::{
     batch_trie_stats, try_run_batch_resilient, wait_timeout_recover, BatchJob, FailureStats,
     JobInterner, LockRecoverExt, RetryPolicy, RunError, RunOutput, Runner, TrieStats,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -148,6 +148,67 @@ struct JobEntry {
     deadline: Option<Instant>,
 }
 
+/// Finished (`Done`/`Failed`) jobs the registry keeps: beyond this many,
+/// the oldest finished entry is evicted and its id answers
+/// [`ServiceError::NotFound`]. Queued and running jobs are never evicted,
+/// so the registry holds at most this many entries plus the work in
+/// flight, however long the service runs.
+const MAX_FINISHED_JOBS: usize = 1024;
+
+/// Every job the service answers for, plus the finish order of the
+/// terminal ones.
+#[derive(Default)]
+struct JobRegistry {
+    entries: HashMap<u64, JobEntry>,
+    /// Ids of terminal entries, oldest first.
+    finished: VecDeque<u64>,
+    completed: u64,
+    failed: u64,
+}
+
+impl JobRegistry {
+    /// Moves job `id` to a terminal state: the one path of every delivery,
+    /// deadline expiry and shutdown. Counts the outcome, records the id in
+    /// finish order and evicts the oldest finished entries beyond
+    /// [`MAX_FINISHED_JOBS`]. Unknown or already finished ids are left as
+    /// they are.
+    fn finish(&mut self, id: u64, state: JobState) {
+        debug_assert!(state.is_terminal(), "finish needs a terminal state");
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return;
+        };
+        if entry.state.is_terminal() {
+            return;
+        }
+        match state {
+            JobState::Done(_) => self.completed += 1,
+            _ => self.failed += 1,
+        }
+        entry.state = state;
+        self.finished.push_back(id);
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.entries.remove(&oldest);
+            }
+        }
+    }
+
+    /// Whether `id` is still waiting or running.
+    fn is_live(&self, id: u64) -> bool {
+        self.entries
+            .get(&id)
+            .is_some_and(|entry| !entry.state.is_terminal())
+    }
+}
+
+/// The terminal state of a finished request.
+fn outcome_state(outcome: Result<QuTracerReport, ServiceError>) -> JobState {
+    match outcome {
+        Ok(report) => JobState::Done(Arc::new(report)),
+        Err(e) => JobState::Failed(e),
+    }
+}
+
 /// One admitted request travelling from `submit` to the batcher. The
 /// job's deadline lives in its [`JobEntry`]; the batcher observes it
 /// through [`MitigationService::expire_if_overdue`] at pick-up/delivery.
@@ -228,15 +289,13 @@ pub struct MitigationService<R> {
     runner: R,
     config: ServiceConfig,
     queue: BoundedQueue<Ticket>,
-    jobs: Mutex<HashMap<u64, JobEntry>>,
+    jobs: Mutex<JobRegistry>,
     /// Signalled whenever a job reaches a terminal state.
     done_cv: Condvar,
     next_id: AtomicU64,
     cache: Option<ShardedLruCache<RunOutput>>,
     submitted: AtomicU64,
     rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
     distinct_jobs: AtomicU64,
@@ -258,14 +317,12 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
             runner,
             config,
             queue: BoundedQueue::new(config.queue_capacity),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobRegistry::default()),
             done_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
             cache,
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
             distinct_jobs: AtomicU64::new(0),
@@ -340,7 +397,7 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         let view = work.view();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = self.config.request_deadline.map(|d| Instant::now() + d);
-        self.jobs.lock_recover().insert(
+        self.jobs.lock_recover().entries.insert(
             id,
             JobEntry {
                 state: JobState::Queued(view),
@@ -353,7 +410,7 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
                 Ok(id)
             }
             Err(e) => {
-                self.jobs.lock_recover().remove(&id);
+                self.jobs.lock_recover().entries.remove(&id);
                 match e {
                     PushError::Full => {
                         self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -367,24 +424,28 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         }
     }
 
-    /// Fails `entry` with [`ServiceError::DeadlineExceeded`] if its
+    /// Fails job `id` with [`ServiceError::DeadlineExceeded`] if its
     /// server-side deadline has passed and it is still non-terminal.
     /// Expiry is observed lazily — at every registry access and at the
     /// batcher's pick-up and delivery points — so an expired job turns
     /// into a typed 504 wherever it is next touched.
-    fn expire_if_overdue(&self, id: u64, entry: &mut JobEntry) {
-        let overdue =
-            !entry.state.is_terminal() && entry.deadline.is_some_and(|d| Instant::now() >= d);
+    fn expire_if_overdue(&self, jobs: &mut JobRegistry, id: u64) {
+        let overdue = jobs.entries.get(&id).is_some_and(|entry| {
+            !entry.state.is_terminal() && entry.deadline.is_some_and(|d| Instant::now() >= d)
+        });
         if overdue {
-            entry.state = JobState::Failed(ServiceError::DeadlineExceeded {
-                job: id,
-                deadline_millis: self
-                    .config
-                    .request_deadline
-                    .map(|d| d.as_millis() as u64)
-                    .unwrap_or(0),
-            });
-            self.failed.fetch_add(1, Ordering::Relaxed);
+            let deadline_millis = self
+                .config
+                .request_deadline
+                .map(|d| d.as_millis() as u64)
+                .unwrap_or(0);
+            jobs.finish(
+                id,
+                JobState::Failed(ServiceError::DeadlineExceeded {
+                    job: id,
+                    deadline_millis,
+                }),
+            );
             self.deadline_expired.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -393,14 +454,15 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NotFound`] for unknown ids.
+    /// [`ServiceError::NotFound`] for unknown ids, including finished jobs
+    /// evicted from the registry: it keeps the newest 1024 finished jobs.
     pub fn status(&self, id: u64) -> Result<JobState, ServiceError> {
         let mut jobs = self.jobs.lock_recover();
-        let entry = jobs
-            .get_mut(&id)
-            .ok_or(ServiceError::NotFound { job: id })?;
-        self.expire_if_overdue(id, entry);
-        Ok(entry.state.clone())
+        self.expire_if_overdue(&mut jobs, id);
+        jobs.entries
+            .get(&id)
+            .map(|entry| entry.state.clone())
+            .ok_or(ServiceError::NotFound { job: id })
     }
 
     /// The finished report for job `id`, `None` while it is still in
@@ -408,8 +470,9 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NotFound`] for unknown ids; the job's own error if
-    /// it failed.
+    /// [`ServiceError::NotFound`] for unknown ids, including evicted
+    /// finished jobs (see [`MitigationService::status`]); the job's own
+    /// error if it failed.
     pub fn result(&self, id: u64) -> Result<Option<Arc<QuTracerReport>>, ServiceError> {
         match self.status(id)? {
             JobState::Done(report) => Ok(Some(report)),
@@ -422,8 +485,9 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NotFound`] for unknown ids *and* for timeouts (the
-    /// job is still unfinished — callers distinguish via
+    /// [`ServiceError::NotFound`] for unknown ids (including evicted
+    /// finished jobs, see [`MitigationService::status`]) *and* for
+    /// timeouts (the job is still unfinished — callers distinguish via
     /// [`MitigationService::status`]); the job's own error if it failed.
     pub fn wait_result(
         &self,
@@ -433,10 +497,10 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         let deadline = Instant::now() + timeout;
         let mut jobs = self.jobs.lock_recover();
         loop {
-            let Some(entry) = jobs.get_mut(&id) else {
+            self.expire_if_overdue(&mut jobs, id);
+            let Some(entry) = jobs.entries.get(&id) else {
                 return Err(ServiceError::NotFound { job: id });
             };
-            self.expire_if_overdue(id, entry);
             match &entry.state {
                 JobState::Done(report) => return Ok(Arc::clone(report)),
                 JobState::Failed(e) => return Err(e.clone()),
@@ -465,11 +529,15 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
 
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
+        let (completed, failed) = {
+            let jobs = self.jobs.lock_recover();
+            (jobs.completed, jobs.failed)
+        };
         ServiceStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
+            completed,
+            failed,
             queue_depth: self.queue.len(),
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
@@ -506,12 +574,7 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         if !orphans.is_empty() {
             let mut jobs = self.jobs.lock_recover();
             for ticket in &orphans {
-                if let Some(entry) = jobs.get_mut(&ticket.id) {
-                    if !entry.state.is_terminal() {
-                        entry.state = JobState::Failed(ServiceError::ShuttingDown);
-                        self.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                jobs.finish(ticket.id, JobState::Failed(ServiceError::ShuttingDown));
             }
         }
         self.done_cv.notify_all();
@@ -547,10 +610,10 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         {
             let mut jobs = self.jobs.lock_recover();
             for ticket in batch {
-                let Some(entry) = jobs.get_mut(&ticket.id) else {
+                self.expire_if_overdue(&mut jobs, ticket.id);
+                let Some(entry) = jobs.entries.get_mut(&ticket.id) else {
                     continue;
                 };
-                self.expire_if_overdue(ticket.id, entry);
                 if entry.state.is_terminal() {
                     continue;
                 }
@@ -631,13 +694,10 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         let mut jobs = self.jobs.lock_recover();
         for ((ticket, slots), own_jobs) in live.into_iter().zip(&request_slots).zip(&per_request) {
             let id = ticket.id;
-            let Some(entry) = jobs.get_mut(&id) else {
-                continue;
-            };
             // Delivery-point deadline check: a report that missed its
             // deadline is discarded, not delivered late.
-            self.expire_if_overdue(id, entry);
-            if entry.state.is_terminal() {
+            self.expire_if_overdue(&mut jobs, id);
+            if !jobs.is_live(id) {
                 continue;
             }
             let gathered: Result<Vec<RunOutput>, ServiceError> = slots
@@ -663,16 +723,7 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
                             .and_then(|artifacts| artifacts.recombine())
                             .map_err(ServiceError::Exec)
                     });
-                    entry.state = match outcome {
-                        Ok(report) => {
-                            self.completed.fetch_add(1, Ordering::Relaxed);
-                            JobState::Done(Arc::new(report))
-                        }
-                        Err(e) => {
-                            self.failed.fetch_add(1, Ordering::Relaxed);
-                            JobState::Failed(e)
-                        }
-                    };
+                    jobs.finish(id, outcome_state(outcome));
                 }
                 Work::Session(mut session) => {
                     let absorbed = gathered.and_then(|outputs| {
@@ -687,10 +738,7 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
                             .map_err(ServiceError::Exec)
                     });
                     match absorbed {
-                        Err(e) => {
-                            self.failed.fetch_add(1, Ordering::Relaxed);
-                            entry.state = JobState::Failed(e);
-                        }
+                        Err(e) => jobs.finish(id, JobState::Failed(e)),
                         Ok(()) if session.next_round().is_some() => {
                             // Still Running: the next round re-enters the
                             // queue below, outside the registry lock. An
@@ -702,16 +750,8 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
                             });
                         }
                         Ok(()) => {
-                            entry.state = match session.finish().map_err(ServiceError::Exec) {
-                                Ok(report) => {
-                                    self.completed.fetch_add(1, Ordering::Relaxed);
-                                    JobState::Done(Arc::new(report))
-                                }
-                                Err(e) => {
-                                    self.failed.fetch_add(1, Ordering::Relaxed);
-                                    JobState::Failed(e)
-                                }
-                            };
+                            let outcome = session.finish().map_err(ServiceError::Exec);
+                            jobs.finish(id, outcome_state(outcome));
                         }
                     }
                 }
@@ -726,14 +766,9 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         for ticket in requeues {
             let id = ticket.id;
             if self.queue.requeue(ticket).is_err() {
-                let mut jobs = self.jobs.lock_recover();
-                if let Some(entry) = jobs.get_mut(&id) {
-                    if !entry.state.is_terminal() {
-                        entry.state = JobState::Failed(ServiceError::ShuttingDown);
-                        self.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                drop(jobs);
+                self.jobs
+                    .lock_recover()
+                    .finish(id, JobState::Failed(ServiceError::ShuttingDown));
                 self.done_cv.notify_all();
             }
         }

@@ -185,6 +185,57 @@ pub fn job_sample_seed(seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Samples every job of an executed batch: job `i` draws
+/// `shots.shots(i)` outcomes from `outputs[i]` seeded by
+/// [`job_sample_seed`]`(seed, i)`. This is the one dist-then-sample step of
+/// every batched finite-shot path (the [`Runner`] sampled surfaces and
+/// `qt_core`'s session absorption); jobs fan out over
+/// [`backend::parallel_indexed`], and since each job's counts depend only
+/// on its own output, shots and seed, the result is bit-identical for any
+/// worker count.
+///
+/// # Panics
+///
+/// Panics if `shots` does not cover exactly `outputs.len()` jobs.
+pub fn sample_batch(outputs: &[RunOutput], shots: &ShotPlan, seed: u64) -> Vec<SampledOutput> {
+    fan_out_jobs(outputs.len(), shots, |i| {
+        SampledOutput::from_run(&outputs[i], shots.shots(i), job_sample_seed(seed, i))
+    })
+}
+
+/// [`sample_batch`] over a fallible batch: failed jobs keep their error,
+/// the others are sampled exactly as [`sample_batch`] samples them — so a
+/// job's counts never depend on which other jobs failed.
+///
+/// # Panics
+///
+/// Panics if `shots` does not cover exactly `results.len()` jobs.
+pub fn try_sample_batch(
+    results: &[Result<RunOutput, crate::RunError>],
+    shots: &ShotPlan,
+    seed: u64,
+) -> Vec<Result<SampledOutput, crate::RunError>> {
+    fan_out_jobs(results.len(), shots, |i| match &results[i] {
+        Ok(out) => Ok(SampledOutput::from_run(
+            out,
+            shots.shots(i),
+            job_sample_seed(seed, i),
+        )),
+        Err(e) => Err(e.clone()),
+    })
+}
+
+/// Runs `f` over the jobs of a shot plan on the batch worker pool.
+fn fan_out_jobs<T: Send>(n_jobs: usize, shots: &ShotPlan, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    assert_eq!(
+        n_jobs,
+        shots.n_jobs(),
+        "shot plan covers a different number of jobs than submitted"
+    );
+    let (workers, _) = backend::batch_split(n_jobs);
+    backend::parallel_indexed(n_jobs, workers, f)
+}
+
 /// Samples `shots` outcomes from a [`Distribution`] in a fixed number of
 /// independent seeded streams. The stream layout is a function of the shot
 /// count alone and each stream owns its own RNG, so the counts depend only
@@ -193,47 +244,134 @@ pub fn job_sample_seed(seed: u64, index: usize) -> u64 {
 ///
 /// The inverse-CDF table covers only the distribution's nonzero support,
 /// so sampling a sparse wide-register distribution never materialises its
-/// `2^n_bits` outcome space.
+/// `2^n_bits` outcome space. Each draw `r` lands on the first CDF entry
+/// above it (the last entry if none is), found through a guide table in
+/// expected O(1); counts accumulate in one dense counter per support
+/// entry and worker.
 pub fn sample_counts_deterministic(
     dist: &Distribution,
     shots: usize,
     seed: u64,
     threads: usize,
 ) -> Counts {
-    use rand::{RngExt, SeedableRng};
-    let mut cdf: Vec<(u64, f64)> = Vec::with_capacity(dist.support_len());
-    let mut acc = 0.0;
-    for (idx, p) in dist.iter() {
-        acc += p.max(0.0);
-        cdf.push((idx, acc));
+    use rand::SeedableRng;
+    let table = GuideTable::new(dist, shots);
+    if table.total <= 0.0 {
+        return Counts::try_from_entries(dist.n_bits(), Vec::new())
+            .expect("an empty count table fits any outcome space");
     }
-    let total = acc;
     let streams = if shots >= 1 << 14 { 8 } else { 1 };
     let chunk = shots.div_ceil(streams);
-    let partials = backend::parallel_indexed(streams, threads.clamp(1, streams), |s| {
-        let lo = s * chunk;
-        let hi = ((s + 1) * chunk).min(shots);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(
-            seed.wrapping_add((s as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
-        let mut part: BTreeMap<u64, u64> = BTreeMap::new();
-        if total > 0.0 {
-            for _ in lo..hi {
-                let r = rng.random::<f64>() * total;
-                let k = cdf.partition_point(|&(_, c)| c <= r).min(cdf.len() - 1);
-                *part.entry(cdf[k].0).or_insert(0) += 1;
-            }
+    // Streams run in contiguous runs per worker and share its counters:
+    // integer sums do not depend on the order the draws land in.
+    let per_worker = streams.div_ceil(threads.clamp(1, streams));
+    let workers = streams.div_ceil(per_worker);
+    let partials = backend::parallel_indexed(workers, workers, |w| {
+        let mut counts = vec![0u64; table.outcomes.len()];
+        for s in w * per_worker..((w + 1) * per_worker).min(streams) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(
+                seed.wrapping_add((s as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            );
+            let n = ((s + 1) * chunk).min(shots).saturating_sub(s * chunk);
+            table.draw_into(&mut rng, n, &mut counts);
         }
-        part
+        counts
     });
-    let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut partials = partials.into_iter();
+    let mut counts = partials.next().expect("at least one worker");
     for part in partials {
-        for (idx, c) in part {
-            *merged.entry(idx).or_insert(0) += c;
+        for (acc, c) in counts.iter_mut().zip(part) {
+            *acc += c;
         }
     }
-    Counts::try_from_entries(dist.n_bits(), merged.into_iter().collect())
+    let entries = table
+        .outcomes
+        .iter()
+        .zip(counts)
+        .filter(|&(_, c)| c > 0)
+        .map(|(&idx, c)| (idx, c))
+        .collect();
+    Counts::try_from_entries(dist.n_bits(), entries)
         .expect("sampled outcomes lie in the distribution's own outcome space")
+}
+
+/// The inverse-CDF lookup behind [`sample_counts_deterministic`].
+///
+/// A draw is a 53-bit integer `u`, mapped to `r = (u · 2⁻⁵³) · total`
+/// exactly as `rand`'s `f64` sampling does, and lands on
+/// `cdf.partition_point(|c| c <= r).min(len - 1)`. The guide splits the
+/// draws into `2^g` buckets on the top `g` bits of `u`, and `guide[b]` is
+/// the partition point of `r_min(b)`, the `r` of bucket `b`'s smallest
+/// `u`. `u → r` is an exact scaling followed by an IEEE multiplication by
+/// a non-negative constant, and both are monotone, so every draw of
+/// bucket `b` has `r_min(b) <= r <= r_min(b + 1)`: all entries before
+/// `guide[b]` are `<= r`, all entries from the partition point of
+/// `r_min(b + 1)` on are `> r`, and a scan from `guide[b]` stops on the
+/// exact answer. With `g = ⌈log2 min(support, shots)⌉ + 1` the expected
+/// scan is under one step and the guide has at most `4·support` entries.
+struct GuideTable {
+    /// Outcome index of each support entry, ascending.
+    outcomes: Vec<u64>,
+    /// Cumulative clamped mass (non-decreasing), then a NaN sentinel that
+    /// compares false against every draw, so scans never run off the end.
+    cdf: Vec<f64>,
+    total: f64,
+    guide: Vec<usize>,
+    /// `53 - g`: a draw's bucket is `u >> shift`.
+    shift: u32,
+}
+
+/// `2⁻⁵³`, the scale of `rand`'s 53-bit `f64` draws.
+const DRAW_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+
+impl GuideTable {
+    fn new(dist: &Distribution, shots: usize) -> Self {
+        let len = dist.support_len();
+        let mut outcomes = Vec::with_capacity(len);
+        let mut cdf = Vec::with_capacity(len + 1);
+        let mut acc = 0.0;
+        for (idx, p) in dist.iter() {
+            acc += p.max(0.0);
+            outcomes.push(idx);
+            cdf.push(acc);
+        }
+        let buckets = len.min(shots).max(1).next_power_of_two().min(1 << 52) * 2;
+        let shift = 53 - buckets.trailing_zeros();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut k = 0;
+        for b in 0..buckets as u64 {
+            let r_min = ((b << shift) as f64 * DRAW_SCALE) * acc;
+            while k < len && cdf[k] <= r_min {
+                k += 1;
+            }
+            guide.push(k);
+        }
+        cdf.push(f64::NAN);
+        GuideTable {
+            outcomes,
+            cdf,
+            total: acc,
+            guide,
+            shift,
+        }
+    }
+
+    /// Draws `n` outcomes from `rng` into `counts` (one per support entry).
+    fn draw_into(&self, rng: &mut impl rand::Rng, n: usize, counts: &mut [u64]) {
+        let last = self.outcomes.len() - 1;
+        for _ in 0..n {
+            let u = rng.next_u64() >> 11;
+            let r = (u as f64 * DRAW_SCALE) * self.total;
+            let mut k = self.guide[(u >> self.shift) as usize];
+            // Most buckets hold at most one CDF step: take the first one
+            // without a branch, which random draws would mispredict.
+            k += (self.cdf[k] <= r) as usize;
+            while self.cdf[k] <= r {
+                k += 1;
+            }
+            counts[k.min(last)] += 1;
+        }
+    }
 }
 
 /// One independent unit of work for [`Runner::run_batch`].
@@ -522,8 +660,9 @@ pub trait Runner {
     /// runs the batch through [`Runner::run_batch`] — inheriting whatever
     /// batching the runner does (deduplication, prefix sharing,
     /// transpilation grouping) — and then samples each job's terminal
-    /// distribution with a per-index seed, so results are bit-identical
-    /// for any scheduling of the same job list.
+    /// distribution with a per-index seed through [`sample_batch`], whose
+    /// per-job draws fan out over worker threads; results are
+    /// bit-identical for any scheduling of the same job list.
     ///
     /// # Panics
     ///
@@ -536,16 +675,7 @@ pub trait Runner {
         shots: &ShotPlan,
         seed: u64,
     ) -> Vec<SampledOutput> {
-        assert_eq!(
-            jobs.len(),
-            shots.n_jobs(),
-            "shot plan covers a different number of jobs than submitted"
-        );
-        self.run_batch(jobs)
-            .iter()
-            .enumerate()
-            .map(|(i, out)| SampledOutput::from_run(out, shots.shots(i), job_sample_seed(seed, i)))
-            .collect()
+        sample_batch(&self.run_batch(jobs), shots, seed)
     }
 
     /// The engine mix this runner would use for `jobs`: `(engine name, job
@@ -574,8 +704,9 @@ pub trait Runner {
     /// Fallible finite-shot batch surface. Mirrors
     /// [`Runner::run_batch_sampled`]: exact distributions come from
     /// [`Runner::try_run_batch`], then each successful job is sampled with
-    /// its index-derived seed — so the `Ok` entries are bit-identical to
-    /// the infallible sampled path regardless of which other jobs failed.
+    /// its index-derived seed ([`try_sample_batch`]) — so the `Ok` entries
+    /// are bit-identical to the infallible sampled path regardless of
+    /// which other jobs failed.
     ///
     /// # Panics
     ///
@@ -586,20 +717,7 @@ pub trait Runner {
         shots: &ShotPlan,
         seed: u64,
     ) -> Vec<Result<SampledOutput, crate::RunError>> {
-        assert_eq!(
-            jobs.len(),
-            shots.n_jobs(),
-            "shot plan covers a different number of jobs than submitted"
-        );
-        self.try_run_batch(jobs)
-            .into_iter()
-            .enumerate()
-            .map(|(i, res)| {
-                res.map(|out| {
-                    SampledOutput::from_run(&out, shots.shots(i), job_sample_seed(seed, i))
-                })
-            })
-            .collect()
+        try_sample_batch(&self.try_run_batch(jobs), shots, seed)
     }
 }
 
@@ -702,31 +820,6 @@ impl Runner for Executor {
             BatchPolicy::PerJob => self.run_batch_per_job(jobs),
             BatchPolicy::Trie { max_live_states } => self.run_batch_trie(jobs, max_live_states),
         }
-    }
-
-    /// The finite-shot batch path: terminal distributions come from the
-    /// configured [`BatchPolicy`] — under the default trie policy every
-    /// shared op prefix still evolves once, so prefix sharing and plan-level
-    /// dedup fan-out carry over to sampling — and the per-job multinomial
-    /// draws then fan out over scoped threads. Per-job seeds depend only on
-    /// the job's index, so the counts are bit-identical to the serial
-    /// default for any worker count and either batch policy.
-    fn run_batch_sampled(
-        &self,
-        jobs: &[BatchJob],
-        shots: &ShotPlan,
-        seed: u64,
-    ) -> Vec<SampledOutput> {
-        assert_eq!(
-            jobs.len(),
-            shots.n_jobs(),
-            "shot plan covers a different number of jobs than submitted"
-        );
-        let outs = self.run_batch(jobs);
-        let workers = backend::available_threads().min(jobs.len().max(1));
-        backend::parallel_indexed(jobs.len(), workers, |i| {
-            SampledOutput::from_run(&outs[i], shots.shots(i), job_sample_seed(seed, i))
-        })
     }
 
     fn engine_mix(&self, jobs: &[BatchJob]) -> Option<Vec<(String, usize)>> {

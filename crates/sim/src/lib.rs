@@ -50,9 +50,9 @@ pub use cache::{run_output_weight, CacheStats, ShardedLruCache};
 pub use classify::ProgramProfile;
 pub use density::DensityMatrix;
 pub use executor::{
-    batch_trie_stats, ideal_distribution, job_sample_seed, sample_counts_deterministic,
-    BatchConfigError, BatchJob, BatchPolicy, Executor, JobInterner, JobKey, RunOutput, Runner,
-    SampledOutput, ShotPlan, MAX_MEASURED_BITS,
+    batch_trie_stats, ideal_distribution, job_sample_seed, sample_batch,
+    sample_counts_deterministic, try_sample_batch, BatchConfigError, BatchJob, BatchPolicy,
+    Executor, JobInterner, JobKey, RunOutput, Runner, SampledOutput, ShotPlan, MAX_MEASURED_BITS,
 };
 pub use fault::{
     try_run_batch_isolated, try_run_batch_resilient, ChaosConfig, ChaosRunner, FailureStats, Fault,
