@@ -124,6 +124,17 @@ pub enum ExecError {
         /// Human-readable diagnosis.
         detail: String,
     },
+    /// A round handed a session an output over a different number of
+    /// bits than its job measures; the round is rejected before any of
+    /// its counts reach the tally.
+    OutputWidthMismatch {
+        /// The job's index in the session's batch-jobs order.
+        job: usize,
+        /// Bits the job measures.
+        expected: usize,
+        /// Bits the output carries.
+        got: usize,
+    },
     /// A fallible execution lost a job the report cannot degrade around:
     /// the global run itself (every mitigation subset refines it, so
     /// nothing survives its loss), after the bounded retry budget was
@@ -176,6 +187,12 @@ impl std::fmt::Display for ExecError {
                 write!(f, "pilot fraction must lie in [0, 1], got {value}")
             }
             ExecError::PlanMismatch { detail } => write!(f, "plan/artifact mismatch: {detail}"),
+            ExecError::OutputWidthMismatch { job, expected, got } => {
+                write!(
+                    f,
+                    "job {job} returned an output over {got} bits but measures {expected}"
+                )
+            }
             ExecError::JobFailed { slot, error } => {
                 write!(f, "program slot {slot} failed: {error}")
             }

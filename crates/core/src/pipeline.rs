@@ -847,7 +847,7 @@ impl MitigationPlan {
             .next_round()
             .expect("a fresh session always has a first round");
         let (clustered, stats) = try_run_batch_resilient(runner, session.jobs(), retry);
-        session.absorb_fallible(&spec, clustered, stats)?;
+        session.absorb_fallible(&spec, &clustered, stats)?;
         let (_, outputs, record, _) = session.collect();
         self.artifacts_from_record(outputs, record)
     }

@@ -18,15 +18,31 @@
 //!   outcome-by-outcome into the final tally — so every shot contributes
 //!   to the recombined report.
 //!
-//! **Pilot-absorption soundness.** Both rounds draw from the *same*
-//! per-program distribution (engines are deterministic given the job, and
-//! rounds use independent derived seeds), so merging the two multinomial
-//! samples yields exactly the multinomial sample of the combined shot
-//! count: the pooled estimator is unbiased and its per-program variance is
-//! `σ_i²/(n_i^pilot + n_i^final)`. Adaptivity only chooses `n_i^final`
-//! *after* observing the pilot, which rescales variances but cannot bias
-//! the frequencies — what the shots *are* never depends on their outcomes,
-//! only how many more are drawn.
+//! **Pilot-absorption soundness.** Both rounds sample *one* execution of
+//! the batch: [`MitigationSession::run`] executes every job once and each
+//! round draws its multinomial sample from those exact outputs with its
+//! own derived seed. Merging the two independent samples of the same
+//! per-program distribution yields exactly the multinomial sample of the
+//! combined shot count: the pooled estimator is unbiased and its
+//! per-program variance is `σ_i²/(n_i^pilot + n_i^final)`. Adaptivity only
+//! chooses `n_i^final` *after* observing the pilot, which rescales
+//! variances but cannot bias the frequencies — what the shots *are* never
+//! depends on their outcomes, only how many more are drawn. Engines are
+//! deterministic given the job, so a stepwise caller that executes every
+//! round samples the very same distributions and gets the same report.
+//!
+//! **Failures.** [`MitigationSession::run_fallible`] keeps the first
+//! execution's results for every round. A later round re-executes only the
+//! jobs whose result is a *transient* error; a permanent failure is final,
+//! per [`RunError`]'s contract. A job counts in the report's
+//! `failed_jobs` when no round produced counts for it; the event counters
+//! (retries, quarantined panics, corrupt outputs) sum over the executions
+//! that actually ran.
+//!
+//! The `qt-serve` service drives the stepwise surface instead: it requeues
+//! every round through its batcher, which serves round 2's exact outputs
+//! from its result cache while they stay resident, and samples them with
+//! [`MitigationSession::absorb_exact`].
 //!
 //! A fraction whose pilot (or remainder) cannot fund one shot per program
 //! degrades to the single uniform round — so `pilot_fraction` 0 and 1 are
@@ -114,6 +130,8 @@ pub struct MitigationSession<S: MitigationStrategy> {
     acc: Vec<Option<SampledOutput>>,
     /// Terminal error per job with *no* usable counts from any round.
     errors: Vec<Option<RunError>>,
+    /// Failure-domain event counters summed over the executions behind
+    /// the absorbed rounds (`failed_jobs` is set in `collect`).
     fail_stats: FailureStats,
     /// Whether any round ran through the fallible surface (the report
     /// then carries a failure record even when nothing failed).
@@ -229,7 +247,7 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     }
 
     /// The strategy's batch jobs, in submission order — what every round
-    /// executes.
+    /// samples.
     pub fn jobs(&self) -> &[BatchJob] {
         &self.jobs
     }
@@ -311,7 +329,15 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         }
     }
 
-    fn check_spec(&self, spec: &RoundSpec, got_outputs: usize) -> Result<(), ExecError> {
+    /// Validates a round's spec and results before anything touches the
+    /// tally: the round must be the expected one, and the shot plan and
+    /// the results must cover the session's jobs. `widths` holds each
+    /// result's measured-bit count (`None` for a failed job).
+    fn check_round(
+        &self,
+        spec: &RoundSpec,
+        widths: impl ExactSizeIterator<Item = Option<usize>>,
+    ) -> Result<(), ExecError> {
         if spec.round != self.completed_rounds {
             return Err(ExecError::PlanMismatch {
                 detail: format!(
@@ -326,11 +352,17 @@ impl<S: MitigationStrategy> MitigationSession<S> {
                 got: spec.shots.n_jobs(),
             });
         }
-        if got_outputs != self.jobs.len() {
+        if widths.len() != self.jobs.len() {
             return Err(ExecError::ResultCountMismatch {
                 expected: self.jobs.len(),
-                got: got_outputs,
+                got: widths.len(),
             });
+        }
+        for (job, (width, j)) in widths.zip(&self.jobs).enumerate() {
+            let expected = j.measured.len();
+            if let Some(got) = width.filter(|&got| got != expected) {
+                return Err(ExecError::OutputWidthMismatch { job, expected, got });
+            }
         }
         Ok(())
     }
@@ -344,13 +376,16 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     /// [`ExecError::PlanMismatch`] for an out-of-order round,
     /// [`ExecError::ShotPlanMismatch`] /
     /// [`ExecError::ResultCountMismatch`] for a spec or result vector
-    /// that does not cover the session's jobs.
+    /// that does not cover the session's jobs,
+    /// [`ExecError::OutputWidthMismatch`] for an output over a different
+    /// number of bits than its job measures. A rejected round leaves the
+    /// session unchanged.
     pub fn absorb_sampled(
         &mut self,
         spec: &RoundSpec,
         outputs: Vec<SampledOutput>,
     ) -> Result<(), ExecError> {
-        self.check_spec(spec, outputs.len())?;
+        self.check_round(spec, outputs.iter().map(|o| Some(o.counts.n_bits())))?;
         self.absorb_round_unchecked(outputs.into_iter().map(Ok));
         Ok(())
     }
@@ -371,7 +406,7 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         spec: &RoundSpec,
         outputs: &[RunOutput],
     ) -> Result<(), ExecError> {
-        self.check_spec(spec, outputs.len())?;
+        self.check_round(spec, outputs.iter().map(|o| Some(o.dist.n_bits())))?;
         let sampled = sample_batch(outputs, &spec.shots, spec.seed);
         self.absorb_round_unchecked(sampled.into_iter().map(Ok));
         Ok(())
@@ -383,19 +418,29 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     /// run); failed jobs keep any counts from earlier rounds and only
     /// count as *failed* if no round ever produced counts for them.
     ///
+    /// `stats` are the failure-domain events of the executions behind
+    /// this round: pass [`FailureStats::default`] for a round that
+    /// re-samples results already absorbed. Its `failed_jobs` is ignored;
+    /// the report counts the jobs that end with no counts.
+    ///
     /// # Errors
     ///
     /// As [`MitigationSession::absorb_sampled`].
     pub fn absorb_fallible(
         &mut self,
         spec: &RoundSpec,
-        results: Vec<Result<RunOutput, RunError>>,
+        results: &[Result<RunOutput, RunError>],
         stats: FailureStats,
     ) -> Result<(), ExecError> {
-        self.check_spec(spec, results.len())?;
+        self.check_round(
+            spec,
+            results
+                .iter()
+                .map(|r| r.as_ref().ok().map(|o| o.dist.n_bits())),
+        )?;
         self.fallible = true;
         self.fail_stats.merge(&stats);
-        self.absorb_round_unchecked(try_sample_batch(&results, &spec.shots, spec.seed));
+        self.absorb_round_unchecked(try_sample_batch(results, &spec.shots, spec.seed));
         Ok(())
     }
 
@@ -447,7 +492,10 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         }
         let failures = self.fallible.then(|| JobFailures {
             per_job: self.errors.clone(),
-            stats: self.fail_stats,
+            stats: FailureStats {
+                failed_jobs: self.acc.iter().filter(|a| a.is_none()).count() as u64,
+                ..self.fail_stats
+            },
         });
         let record = ExecutionRecord {
             sampled_shots: Some(per_job_shots),
@@ -487,27 +535,32 @@ impl<S: MitigationStrategy> MitigationSession<S> {
             })
     }
 
-    /// Drives every round against `runner`'s sampled batch surface and
-    /// recombines — the offline convenience over the stepwise API.
+    /// Executes the batch once through [`Runner::run_batch`], samples
+    /// every round from those outputs and recombines — the offline
+    /// convenience over the stepwise API. Each round samples exactly as
+    /// [`Runner::run_batch_sampled`] would, so the report equals a
+    /// stepwise replay that executes every round.
     ///
     /// # Errors
     ///
-    /// As [`MitigationSession::absorb_sampled`] and
+    /// As [`MitigationSession::absorb_exact`] and
     /// [`MitigationSession::finish`].
     pub fn run<R: Runner>(mut self, runner: &R) -> Result<S::Report, ExecError> {
         self.engine_mix = runner.engine_mix(&self.jobs);
+        let outputs = runner.run_batch(&self.jobs);
         while let Some(spec) = self.next_round() {
-            let outputs = runner.run_batch_sampled(&self.jobs, &spec.shots, spec.seed);
-            self.absorb_sampled(&spec, outputs)?;
+            self.absorb_exact(&spec, &outputs)?;
         }
         self.finish()
     }
 
     /// [`MitigationSession::run`] with the failure domain of
-    /// `execute_sampled_fallible`: every round executes through the
-    /// resilient batch surface (panic quarantine, bounded retry), failed
-    /// jobs degrade per round, and the final report carries the merged
-    /// failure statistics of all rounds.
+    /// `execute_sampled_fallible`: the batch executes once through the
+    /// resilient surface (panic quarantine, bounded retry) and every round
+    /// samples its results. A later round first re-executes the jobs
+    /// whose result is a transient error; permanent failures are final.
+    /// Failed jobs degrade, and the report's failure statistics count
+    /// each execution once.
     ///
     /// # Errors
     ///
@@ -519,9 +572,20 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         retry: &RetryPolicy,
     ) -> Result<S::Report, ExecError> {
         self.engine_mix = runner.engine_mix(&self.jobs);
+        let (mut results, mut stats) = try_run_batch_resilient(runner, &self.jobs, retry);
         while let Some(spec) = self.next_round() {
-            let (results, stats) = try_run_batch_resilient(runner, &self.jobs, retry);
-            self.absorb_fallible(&spec, results, stats)?;
+            if spec.round > 0 {
+                let again: Vec<usize> = (0..results.len())
+                    .filter(|&i| matches!(&results[i], Err(e) if e.transient))
+                    .collect();
+                let jobs: Vec<BatchJob> = again.iter().map(|&i| self.jobs[i].clone()).collect();
+                let (rerun, rerun_stats) = try_run_batch_resilient(runner, &jobs, retry);
+                for (&i, res) in again.iter().zip(rerun) {
+                    results[i] = res;
+                }
+                stats = rerun_stats;
+            }
+            self.absorb_fallible(&spec, &results, stats)?;
         }
         self.finish()
     }

@@ -2,18 +2,25 @@
 //! `ShotPolicy::Adaptive` must collapse to the single-round uniform
 //! pipeline at the degenerate pilot fractions (bit-for-bit), produce the
 //! same schedule and report regardless of seed replay, batch policy or
-//! thread budget, converge to the uniform allocation when every program
-//! has the same sampling dispersion, and degrade typed — never panic —
-//! when chaos hits the pilot round.
+//! thread budget, execute its batch once and still equal a replay that
+//! executes every round, converge to the uniform allocation when every
+//! program has the same sampling dispersion, reject malformed rounds
+//! typed, and degrade typed — never panic — when chaos hits the pilot
+//! round.
 
 use proptest::prelude::*;
 use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
 use qt_circuit::Circuit;
 use qt_core::{
-    neyman_weights, MitigationStrategy, QuTracer, QuTracerConfig, QuTracerReport, RetryPolicy,
-    ShotPolicy,
+    neyman_weights, ExecError, MitigationSession, MitigationStrategy, QuTracer, QuTracerConfig,
+    QuTracerReport, RetryPolicy, ShotPolicy,
 };
-use qt_sim::{Backend, BatchPolicy, ChaosConfig, ChaosRunner, Executor, NoiseModel};
+use qt_dist::{Counts, Distribution};
+use qt_sim::{
+    Backend, BatchJob, BatchPolicy, ChaosConfig, ChaosRunner, Executor, NoiseModel, Program,
+    RunOutput, Runner,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn executor() -> Executor {
     Executor::with_backend(
@@ -43,22 +50,56 @@ fn arb_workload() -> impl Strategy<Value = (Circuit, Vec<usize>, QuTracerConfig)
     ]
 }
 
+/// Base seed from the CI chaos matrix (`CHAOS_SEED`), mixed into the
+/// fault schedules so each matrix entry explores different failures and
+/// round-2 re-executions — deterministic and locally replayable.
+fn matrix_seed(seed: u64) -> u64 {
+    let base: u64 = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    seed ^ base.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// An [`Executor`] that counts the batches it executes.
+struct CountingRunner {
+    inner: Executor,
+    batches: AtomicUsize,
+}
+
+impl Runner for CountingRunner {
+    fn run(&self, program: &Program, measured: &[usize]) -> RunOutput {
+        self.inner.run(program, measured)
+    }
+
+    fn run_batch(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.inner.run_batch(jobs)
+    }
+
+    fn engine_mix(&self, jobs: &[BatchJob]) -> Option<Vec<(String, usize)>> {
+        self.inner.engine_mix(jobs)
+    }
+}
+
+/// Every recorded bit of two reports: refined, global and local
+/// distributions bitwise, and the overhead statistics (shot totals and the
+/// per-round ledger included).
 fn assert_reports_bit_identical(a: &QuTracerReport, b: &QuTracerReport, what: &str) {
-    let xs: Vec<(u64, u64)> = a
-        .distribution
-        .iter()
-        .map(|(i, p)| (i, p.to_bits()))
-        .collect();
-    let ys: Vec<(u64, u64)> = b
-        .distribution
-        .iter()
-        .map(|(i, p)| (i, p.to_bits()))
-        .collect();
-    assert_eq!(xs, ys, "{what}: refined distributions must match bitwise");
+    let bits =
+        |d: &Distribution| -> Vec<(u64, u64)> { d.iter().map(|(i, p)| (i, p.to_bits())).collect() };
     assert_eq!(
-        a.stats.total_shots, b.stats.total_shots,
-        "{what}: shot totals must match"
+        bits(&a.distribution),
+        bits(&b.distribution),
+        "{what}: refined"
     );
+    assert_eq!(bits(&a.global), bits(&b.global), "{what}: global");
+    assert_eq!(a.locals.len(), b.locals.len(), "{what}: locals count");
+    for ((da, pa), (db, pb)) in a.locals.iter().zip(&b.locals) {
+        assert_eq!(pa, pb, "{what}: local positions");
+        assert_eq!(bits(da), bits(db), "{what}: local at {pa:?}");
+    }
+    assert_eq!(a.stats, b.stats, "{what}: overhead stats");
 }
 
 proptest! {
@@ -160,6 +201,43 @@ proptest! {
         prop_assert_eq!(via_one_thread.stats.round_shots.as_deref(), Some(rounds.as_slice()));
     }
 
+    /// Execute-once: a two-round session executes its batch a single time
+    /// and samples both rounds from it, yet its report equals — bit for
+    /// bit, round ledger included — a stepwise replay that executes every
+    /// round (`next_round → run_batch_sampled → absorb_sampled`).
+    #[test]
+    fn a_two_round_session_executes_its_batch_once(
+        (circ, measured, cfg) in arb_workload(),
+        seed in 0u64..1000,
+    ) {
+        let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
+        let total = 2048 * plan.n_programs();
+        let policy = ShotPolicy::Adaptive { pilot_fraction: 0.5 };
+
+        let counting = CountingRunner { inner: executor(), batches: AtomicUsize::new(0) };
+        let one_call = plan
+            .run_sampled(&counting, total, policy, seed)
+            .expect("adaptive run");
+        prop_assert_eq!(
+            one_call.stats.round_shots.as_ref().map(Vec::len),
+            Some(2),
+            "a funded adaptive session runs two genuine rounds"
+        );
+        prop_assert_eq!(counting.batches.load(Ordering::Relaxed), 1, "run_batch calls");
+
+        let exec = executor();
+        let mut session =
+            MitigationSession::new(&plan, policy, total, seed).expect("valid session");
+        session.set_engine_mix(exec.engine_mix(session.jobs()));
+        while let Some(spec) = session.next_round() {
+            let outputs = exec.run_batch_sampled(session.jobs(), &spec.shots, spec.seed);
+            session.absorb_sampled(&spec, outputs).expect("well-formed round");
+        }
+        prop_assert_eq!(session.rounds_completed(), 2);
+        let stepwise = session.finish().expect("stepwise recombination");
+        assert_reports_bit_identical(&one_call, &stepwise, "one call vs per-round replay");
+    }
+
     /// Neyman with nothing to exploit is uniform: when every pilot
     /// dispersion is the same, `neyman_weights` must hand back equal
     /// weights and the plan's budget allocator must reproduce the uniform
@@ -205,7 +283,7 @@ proptest! {
         // Unrecoverable mix on purpose: fatals and panics included, so
         // some schedules void pilot jobs and some kill the session.
         let config = ChaosConfig {
-            seed: chaos_seed,
+            seed: matrix_seed(chaos_seed),
             transient_rate: 0.3,
             fatal_rate: 0.15,
             panic_rate: 0.1,
@@ -245,4 +323,78 @@ proptest! {
             ),
         }
     }
+}
+
+/// A round whose outputs do not match their jobs' measured widths is a
+/// typed [`ExecError::OutputWidthMismatch`] naming the job — on the sampled
+/// and the exact absorb paths alike — and leaves the tally untouched: the
+/// well-formed round absorbed afterwards yields the one-call report.
+#[test]
+fn a_width_mismatched_round_is_a_typed_error() {
+    let circ = qaoa_maxcut(5, &ring_graph(5), &QaoaParams::seeded(1, 3));
+    let measured: Vec<usize> = (0..5).collect();
+    let cfg = QuTracerConfig::pairs().with_symmetric_subsets();
+    let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
+    let exec = executor();
+    let policy = ShotPolicy::Adaptive {
+        pilot_fraction: 0.5,
+    };
+    let total = 1024 * plan.n_programs();
+    let reference = plan
+        .run_sampled(&exec, total, policy, 7)
+        .expect("one-call run");
+
+    let mut session = MitigationSession::new(&plan, policy, total, 7).expect("valid session");
+    session.set_engine_mix(exec.engine_mix(session.jobs()));
+    let pilot = session.next_round().expect("pilot round");
+    let outputs = exec.run_batch_sampled(session.jobs(), &pilot.shots, pilot.seed);
+    session
+        .absorb_sampled(&pilot, outputs)
+        .expect("pilot absorbs");
+
+    let spec = session.next_round().expect("final round");
+    let good = exec.run_batch_sampled(session.jobs(), &spec.shots, spec.seed);
+    let widths: Vec<usize> = session.jobs().iter().map(|j| j.measured.len()).collect();
+
+    let mut wide = good.clone();
+    wide[0].counts = Counts::try_from_entries(widths[0] + 1, vec![(0, wide[0].counts.shots())])
+        .expect("valid counts");
+    let expected = (0, widths[0], widths[0] + 1);
+    match session.absorb_sampled(&spec, wide) {
+        Err(ExecError::OutputWidthMismatch {
+            job,
+            expected: e,
+            got,
+        }) => {
+            assert_eq!((job, e, got), expected)
+        }
+        other => panic!("expected OutputWidthMismatch, got {other:?}"),
+    }
+
+    let last = widths.len() - 1;
+    let mut exact = exec.run_batch(session.jobs());
+    exact[last].dist =
+        Distribution::try_from_entries(widths[last] + 1, vec![(0, 1.0)]).expect("valid dist");
+    let expected = (last, widths[last], widths[last] + 1);
+    match session.absorb_exact(&spec, &exact) {
+        Err(ExecError::OutputWidthMismatch {
+            job,
+            expected: e,
+            got,
+        }) => {
+            assert_eq!((job, e, got), expected)
+        }
+        other => panic!("expected OutputWidthMismatch, got {other:?}"),
+    }
+
+    assert_eq!(
+        session.rounds_completed(),
+        1,
+        "rejected rounds are not absorbed"
+    );
+    session
+        .absorb_sampled(&spec, good)
+        .expect("the well-formed round absorbs");
+    let report = session.finish().expect("recombination");
+    assert_reports_bit_identical(&report, &reference, "after rejected rounds");
 }

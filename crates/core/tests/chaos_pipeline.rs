@@ -1,9 +1,10 @@
 //! Chaos properties of the fallible pipeline: fault schedules are driven
-//! through `plan → execute_fallible → recombine` and the invariant is
-//! checked at the report level — every run terminates with a report
-//! **bit-identical** to the fault-free run (when the fault budget is
-//! recoverable) or with a typed error / typed degradation (when it is
-//! not). No fault schedule may escape as a panic.
+//! through `plan → execute_fallible → recombine` (and through two-round
+//! adaptive sessions) and the invariant is checked at the report level —
+//! every run terminates with a report **bit-identical** to the fault-free
+//! run (when the fault budget is recoverable) or with a typed error /
+//! typed degradation (when it is not). No fault schedule may escape as a
+//! panic, and no fault is counted twice.
 
 use proptest::prelude::*;
 use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
@@ -167,6 +168,36 @@ proptest! {
         prop_assert_eq!(report.stats.total_shots, clean.stats.total_shots);
     }
 
+    /// The two-round twin: an adaptive session executes its batch once,
+    /// re-executes only transient failures before round 2, and samples
+    /// both rounds from the recovered outputs — so recoverable chaos
+    /// leaves the report bit-identical to the fault-free `run_sampled`,
+    /// round ledger included.
+    #[test]
+    fn recoverable_chaos_adaptive_session_is_bit_identical(
+        (circ, measured, cfg) in arb_workload(),
+        chaos_seed in 1u64..500,
+        sample_seed in 0u64..1000,
+    ) {
+        let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
+        let total = 512 * plan.n_programs();
+        let policy = ShotPolicy::Adaptive { pilot_fraction: 0.5 };
+        let clean = plan
+            .run_sampled(&executor(), total, policy, sample_seed)
+            .expect("fault-free adaptive session");
+
+        let chaos = ChaosRunner::new(executor(), recoverable_chaos(chaos_seed));
+        let report = plan
+            .run_sampled_fallible(&chaos, total, policy, sample_seed, &RetryPolicy::immediate(3))
+            .expect("recoverable chaos must still recombine");
+
+        assert_reports_bit_identical(&report, &clean, "recoverable adaptive chaos");
+        prop_assert_eq!(report.stats.total_shots, clean.stats.total_shots);
+        prop_assert_eq!(&report.stats.round_shots, &clean.stats.round_shots);
+        let failures = report.stats.failures.expect("fallible sessions record failures");
+        prop_assert_eq!(failures.failed_jobs, 0, "all faults were recoverable");
+    }
+
     /// Determinism of the whole failure domain: the same fault seed
     /// replayed against a fresh chaos runner produces the same outcome —
     /// bit-identical reports on success, equal typed errors on failure.
@@ -243,6 +274,83 @@ fn permanent_local_fault_voids_only_dependent_subsets() {
     assert!(
         (report.distribution.total() - 1.0).abs() < 1e-9,
         "degraded report is still a distribution"
+    );
+}
+
+/// One fault counts once, however many rounds sample the batch: a
+/// permanently failed local job, or a quarantined panic, reports the same
+/// failure statistics under a two-round adaptive session as under a single
+/// uniform round.
+#[test]
+fn two_round_sessions_count_each_failure_once() {
+    let circ = qaoa_maxcut(5, &ring_graph(5), &QaoaParams::seeded(1, 3));
+    let measured: Vec<usize> = (0..5).collect();
+    let cfg = QuTracerConfig::pairs().with_symmetric_subsets();
+    let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
+    let (_, key) = job_key(&plan, false).expect("plan has local-trace jobs");
+    let total = 1024 * plan.n_programs();
+
+    for fault in [Fault::Fatal, Fault::Panic] {
+        let run = |policy: ShotPolicy| {
+            let chaos = ChaosRunner::new(executor(), ChaosConfig::quiet(1)).with_fault(key, fault);
+            plan.run_sampled_fallible(&chaos, total, policy, 11, &RetryPolicy::none())
+                .expect("a local fault must degrade, not fail")
+        };
+        let uniform = run(ShotPolicy::Uniform);
+        let adaptive = run(ShotPolicy::Adaptive {
+            pilot_fraction: 0.5,
+        });
+        assert_eq!(
+            adaptive.stats.round_shots.as_ref().map(Vec::len),
+            Some(2),
+            "{fault:?}: the adaptive session runs two rounds"
+        );
+        let uniform = uniform.stats.failures.expect("failures recorded");
+        let adaptive = adaptive.stats.failures.expect("failures recorded");
+        assert_eq!(uniform.failed_jobs, 1, "{fault:?}: one failed job");
+        let panics = u64::from(fault == Fault::Panic);
+        assert_eq!(uniform.isolated_panics, panics, "{fault:?}: panics");
+        assert_eq!(
+            adaptive, uniform,
+            "{fault:?}: adaptive vs uniform failure stats"
+        );
+    }
+}
+
+/// A job that fails transiently in the pilot, with no retry budget left,
+/// executes again before round 2 and recovers: it is not a failed job and
+/// voids nothing — only its pilot shots are missing from the report.
+#[test]
+fn a_transient_pilot_failure_recovers_in_round_two() {
+    let circ = qaoa_maxcut(5, &ring_graph(5), &QaoaParams::seeded(1, 3));
+    let measured: Vec<usize> = (0..5).collect();
+    let cfg = QuTracerConfig::pairs().with_symmetric_subsets();
+    let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
+    let (_, key) = job_key(&plan, false).expect("plan has local-trace jobs");
+    let total = 1024 * plan.n_programs();
+    let policy = ShotPolicy::Adaptive {
+        pilot_fraction: 0.5,
+    };
+    let clean = plan
+        .run_sampled(&executor(), total, policy, 11)
+        .expect("fault-free session");
+
+    let chaos = ChaosRunner::new(executor(), ChaosConfig::quiet(1))
+        .with_fault(key, Fault::Transient { attempts: 1 });
+    let report = plan
+        .run_sampled_fallible(&chaos, total, policy, 11, &RetryPolicy::none())
+        .expect("a recovered job must not fail the session");
+
+    assert_eq!(chaos.injected().transient_errors, 1, "one failed attempt");
+    let failures = report.stats.failures.expect("failures recorded");
+    assert_eq!(failures.failed_jobs, 0, "the job recovered in round 2");
+    assert_eq!(failures.voided_subsets, 0);
+    assert_eq!(report.locals.len(), clean.locals.len(), "nothing voided");
+    assert!(
+        report.stats.total_shots < clean.stats.total_shots,
+        "the failed pilot's shots are missing: {:?} vs {:?}",
+        report.stats.total_shots,
+        clean.stats.total_shots
     );
 }
 

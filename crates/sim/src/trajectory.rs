@@ -15,8 +15,9 @@
 //! * **Thread fan-out** — trajectories are embarrassingly parallel and are
 //!   distributed over scoped `std::thread` workers. Trajectories are dealt
 //!   into a fixed number of independently seeded *streams* which the
-//!   workers drain, so the result depends only on the configured seed,
-//!   never on the machine's core count.
+//!   workers drain and fold into the total in stream order, so the result
+//!   depends only on the configured seed, never on the machine's core
+//!   count.
 
 use crate::backend::{available_threads, parallel_indexed};
 use crate::kernel::KernelClass;
@@ -27,6 +28,7 @@ use qt_dist::Distribution;
 use qt_math::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Mutex;
 
 /// Number of independently seeded trajectory streams. A fixed count keeps
 /// results machine-independent while still saturating common core counts.
@@ -133,11 +135,27 @@ pub fn run_distribution(
     };
 
     // Deal trajectories into seed-stable streams and drain the streams
-    // with up to `n_threads` scoped workers.
+    // with up to `n_threads` scoped workers. A finished stream is folded
+    // into the total as soon as every lower stream is folded: the same
+    // left fold in stream order as summing all partials at the end (so
+    // bit-identical for any worker count), but only streams that finish
+    // ahead of a lower one wait in memory.
+    struct Fold {
+        next: usize,
+        waiting: Vec<Option<(Vec<f64>, u64)>>,
+        dist: Vec<f64>,
+        n_ideal: u64,
+    }
     let streams = STREAMS.min(cfg.n_trajectories).max(1);
     let chunk = cfg.n_trajectories.div_ceil(streams);
     let ideal = ideal_dist.as_deref();
-    let partials = parallel_indexed(streams, n_threads, |s| {
+    let fold = Mutex::new(Fold {
+        next: 0,
+        waiting: vec![None; streams],
+        dist: vec![0.0f64; dim],
+        n_ideal: 0,
+    });
+    parallel_indexed(streams, n_threads, |s| {
         let lo = s * chunk;
         let hi = ((s + 1) * chunk).min(cfg.n_trajectories);
         let mut acc = vec![0.0f64; dim];
@@ -156,17 +174,22 @@ pub fn run_distribution(
                 n_ideal += 1;
             }
         }
-        (acc, n_ideal)
-    });
-
-    let mut dist = vec![0.0f64; dim];
-    let mut n_ideal_total = 0u64;
-    for (acc, n_ideal) in partials {
-        for (d, a) in dist.iter_mut().zip(acc) {
-            *d += a;
+        let mut guard = fold.lock().expect("no stream panics while folding");
+        let f = &mut *guard;
+        f.waiting[s] = Some((acc, n_ideal));
+        while let Some((acc, n_ideal)) = f.waiting.get_mut(f.next).and_then(Option::take) {
+            for (d, a) in f.dist.iter_mut().zip(acc) {
+                *d += a;
+            }
+            f.n_ideal += n_ideal;
+            f.next += 1;
         }
-        n_ideal_total += n_ideal;
-    }
+    });
+    let Fold {
+        mut dist,
+        n_ideal: n_ideal_total,
+        ..
+    } = fold.into_inner().expect("no stream panics while folding");
     if let Some(ideal) = &ideal_dist {
         for (d, &p) in dist.iter_mut().zip(ideal) {
             *d += p * n_ideal_total as f64;
@@ -461,6 +484,57 @@ mod tests {
             };
             let parallel = run_distribution(&prog, &noise, &[0, 1, 2], &cfg);
             assert_eq!(serial, parallel, "{threads} threads diverged");
+        }
+    }
+
+    /// FNV-1a over every `(outcome, p.to_bits())` pair: a fingerprint of a
+    /// distribution's exact bits.
+    fn bits_hash(dist: &Distribution) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (outcome, p) in dist.iter() {
+            for byte in outcome
+                .to_le_bytes()
+                .into_iter()
+                .chain(p.to_bits().to_le_bytes())
+            {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn twelve_qubit_qaoa_ring_bits_are_pinned_for_any_thread_count() {
+        // A two-layer QAOA max-cut ring on 12 qubits, the trajectory global
+        // of the sampled QAOA workload. The constant is the hash of summing
+        // every stream's partial in stream order after all streams finish;
+        // the in-order fold must reproduce that sum bit for bit.
+        const PINNED: u64 = 0x2fa0_dff7_e913_cd7e;
+        let n = 12;
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        for (gamma, beta) in [(0.41, 0.33), (0.77, 0.21)] {
+            for a in 0..n {
+                let b = (a + 1) % n;
+                c.p(a, 2.0 * gamma).p(b, 2.0 * gamma).cp(a, b, -4.0 * gamma);
+            }
+            for q in 0..n {
+                c.rx(q, 2.0 * beta);
+            }
+        }
+        let prog = Program::from_circuit(&c);
+        let noise = NoiseModel::depolarizing(0.002, 0.02);
+        let measured: Vec<usize> = (0..n).collect();
+        for threads in [1, 2, 3] {
+            let cfg = TrajectoryConfig {
+                n_trajectories: 320,
+                seed: 2024,
+                n_threads: Some(threads),
+            };
+            let dist = run_distribution(&prog, &noise, &measured, &cfg);
+            assert_eq!(bits_hash(&dist), PINNED, "{threads} threads");
         }
     }
 
