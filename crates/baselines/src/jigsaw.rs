@@ -7,7 +7,7 @@
 //! measurement crosstalk. The local distributions then refine the global
 //! one by Bayesian recombination. Jigsaw does not touch gate errors.
 
-use crate::strategy::{ExecutionRecord, MitigationStrategy, StrategyError};
+use crate::strategy::{execute_strategy, ExecutionRecord, MitigationStrategy, StrategyError};
 use crate::OverheadStats;
 use qt_circuit::Circuit;
 use qt_dist::{recombine, Distribution};
@@ -76,37 +76,6 @@ impl JigsawPlan {
     pub fn n_programs(&self) -> usize {
         self.jobs.len()
     }
-
-    /// Stage 2: executes every mode as one parallel batch.
-    pub fn execute<'p, R: Runner>(&'p self, runner: &R) -> JigsawArtifacts<'p> {
-        let outputs = runner.run_batch(&self.jobs);
-        assert_eq!(
-            outputs.len(),
-            self.jobs.len(),
-            "runner violated the run_batch contract"
-        );
-        JigsawArtifacts {
-            plan: self,
-            outputs,
-        }
-    }
-}
-
-/// Stage-2 output of Jigsaw.
-#[derive(Debug, Clone)]
-pub struct JigsawArtifacts<'p> {
-    plan: &'p JigsawPlan,
-    outputs: Vec<qt_sim::RunOutput>,
-}
-
-impl JigsawArtifacts<'_> {
-    /// Stage 3: Bayesian recombination of the subset modes into the global
-    /// distribution.
-    pub fn recombine(&self) -> JigsawReport {
-        self.plan
-            .recombine_outputs(self.outputs.clone(), &ExecutionRecord::exact(None))
-            .expect("artifacts were produced by this plan")
-    }
 }
 
 impl MitigationStrategy for JigsawPlan {
@@ -138,15 +107,7 @@ impl MitigationStrategy for JigsawPlan {
         // Every mode feeds the Bayesian update, so Jigsaw cannot degrade
         // around any lost job: the first terminal failure is the error.
         if let Some(f) = &record.failures {
-            if let Some(job) = f.per_job.iter().position(|e| e.is_some()) {
-                return Err(StrategyError::JobFailed {
-                    job,
-                    detail: f.per_job[job]
-                        .as_ref()
-                        .expect("position found an error")
-                        .to_string(),
-                });
-            }
+            f.ensure_no_failures()?;
         }
         let mut outs = outputs.into_iter();
         let global_out = outs.next().expect("global job present");
@@ -187,20 +148,22 @@ impl MitigationStrategy for JigsawPlan {
     }
 }
 
-/// Runs Jigsaw end to end: a wrapper over `plan → execute → recombine`.
+/// Runs Jigsaw end to end: one batch through [`execute_strategy`], then
+/// the Bayesian recombination.
 ///
 /// # Panics
 ///
-/// Panics if `subset_size` is 0 or exceeds the measured count.
+/// Panics if `subset_size` is 0 or exceeds the measured count, or on a
+/// runner violating the batch contract (the strategy surface reports it
+/// as a typed error; this convenience unwraps it).
 pub fn run_jigsaw<R: Runner>(
     runner: &R,
     circuit: &Circuit,
     measured: &[usize],
     subset_size: usize,
 ) -> JigsawReport {
-    plan_jigsaw(circuit, measured, subset_size)
-        .execute(runner)
-        .recombine()
+    execute_strategy(&plan_jigsaw(circuit, measured, subset_size), runner)
+        .expect("runner violated the batch contract")
 }
 
 #[cfg(test)]

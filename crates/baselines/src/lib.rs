@@ -9,9 +9,9 @@ pub mod neumann;
 pub mod sqem;
 pub mod strategy;
 
-pub use jigsaw::{plan_jigsaw, run_jigsaw, JigsawArtifacts, JigsawPlan, JigsawReport};
+pub use jigsaw::{plan_jigsaw, run_jigsaw, JigsawPlan, JigsawReport};
 pub use neumann::{neumann_mitigate, plan_neumann, run_neumann, NeumannPlan, NeumannReport};
-pub use sqem::{plan_sqem, run_sqem, SqemArtifacts, SqemPlan, SqemReport, SqemUnsupported};
+pub use sqem::{plan_sqem, run_sqem, SqemPlan, SqemReport, SqemUnsupported};
 pub use strategy::{
     apportion_shots, execute_strategy, ExecutionRecord, JobFailures, MitigationStrategy,
     StrategyError,

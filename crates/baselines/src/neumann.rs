@@ -18,7 +18,7 @@
 //! costs one circuit execution and no inversion. The truncation order `K`
 //! trades residual bias `(I − A)^{K+1}` against noise amplification.
 
-use crate::strategy::{ExecutionRecord, MitigationStrategy, StrategyError};
+use crate::strategy::{execute_strategy, ExecutionRecord, MitigationStrategy, StrategyError};
 use crate::OverheadStats;
 use qt_circuit::Circuit;
 use qt_dist::Distribution;
@@ -106,12 +106,7 @@ impl MitigationStrategy for NeumannPlan {
             });
         }
         if let Some(f) = &record.failures {
-            if let Some(Some(err)) = f.per_job.first() {
-                return Err(StrategyError::JobFailed {
-                    job: 0,
-                    detail: err.to_string(),
-                });
-            }
+            f.ensure_no_failures()?;
         }
         let global_out = &outputs[0];
         let global = global_out.dist.clone();
@@ -188,8 +183,8 @@ pub fn neumann_mitigate(
 /// # Panics
 ///
 /// Panics on a runner violating the batch contract (the strategy surface
-/// reports it as a typed error; this convenience unwraps it, matching
-/// `run_jigsaw`/`run_sqem`).
+/// reports it as a typed error; this convenience unwraps it, as
+/// `run_jigsaw` and `run_sqem` do).
 pub fn run_neumann<R: Runner>(
     runner: &R,
     circuit: &Circuit,
@@ -197,7 +192,7 @@ pub fn run_neumann<R: Runner>(
     readout: &ReadoutModel,
     order: usize,
 ) -> NeumannReport {
-    crate::strategy::execute_strategy(&plan_neumann(circuit, measured, readout, order), runner)
+    execute_strategy(&plan_neumann(circuit, measured, readout, order), runner)
         .expect("runner violated the batch contract")
 }
 

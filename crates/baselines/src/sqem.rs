@@ -11,11 +11,12 @@
 //!
 //! Like the QuTracer framework itself, SQEM is staged: [`plan_sqem`]
 //! performs the classical analysis and generates every reconstruction
-//! circuit up front, [`SqemPlan::execute`] runs them all as one
-//! deduplicated batch, and [`SqemArtifacts::recombine`] reconstructs the
-//! local states classically. [`run_sqem`] wraps the three stages.
+//! circuit up front, [`execute_strategy`] runs them all as one
+//! deduplicated batch, and the [`MitigationStrategy`] recombination
+//! reconstructs the local states classically. [`run_sqem`] wraps the
+//! three stages.
 
-use crate::strategy::{ExecutionRecord, MitigationStrategy, StrategyError};
+use crate::strategy::{execute_strategy, ExecutionRecord, MitigationStrategy, StrategyError};
 use crate::OverheadStats;
 use qt_circuit::{passes, Circuit, Instruction};
 use qt_dist::{recombine, Distribution};
@@ -183,37 +184,6 @@ impl SqemPlan {
     pub fn n_programs(&self) -> usize {
         self.programs.len()
     }
-
-    /// Stage 2: executes every reconstruction circuit as one batch.
-    pub fn execute<'p, R: Runner>(&'p self, runner: &R) -> SqemArtifacts<'p> {
-        let outputs = runner.run_batch(&self.programs);
-        assert_eq!(
-            outputs.len(),
-            self.programs.len(),
-            "runner violated the run_batch contract"
-        );
-        SqemArtifacts {
-            plan: self,
-            outputs,
-        }
-    }
-}
-
-/// Stage-2 output of SQEM.
-#[derive(Debug, Clone)]
-pub struct SqemArtifacts<'p> {
-    plan: &'p SqemPlan,
-    outputs: Vec<RunOutput>,
-}
-
-impl SqemArtifacts<'_> {
-    /// Stage 3: reconstructs every traced qubit's mitigated state and
-    /// refines the global distribution.
-    pub fn recombine(&self) -> SqemReport {
-        self.plan
-            .recombine_outputs(self.outputs.clone(), &ExecutionRecord::exact(None))
-            .expect("artifacts were produced by this plan")
-    }
 }
 
 impl MitigationStrategy for SqemPlan {
@@ -246,15 +216,7 @@ impl MitigationStrategy for SqemPlan {
         // tomographic combination, so SQEM cannot degrade around any lost
         // job: the first terminal failure is the error.
         if let Some(f) = &record.failures {
-            if let Some(job) = f.per_job.iter().position(|e| e.is_some()) {
-                return Err(StrategyError::JobFailed {
-                    job,
-                    detail: f.per_job[job]
-                        .as_ref()
-                        .expect("position found an error")
-                        .to_string(),
-                });
-            }
+            f.ensure_no_failures()?;
         }
         let global_out = &outputs[self.global_slot];
         let global = global_out.dist.clone();
@@ -326,12 +288,18 @@ impl MitigationStrategy for SqemPlan {
 /// Returns [`SqemUnsupported`] if any traced qubit needs more than one
 /// check layer, or if a qubit cannot be traced at all (non-diagonal
 /// coupling).
+///
+/// # Panics
+///
+/// Panics on a runner violating the batch contract (the strategy surface
+/// reports it as a typed error; this convenience unwraps it).
 pub fn run_sqem<R: Runner>(
     runner: &R,
     circuit: &Circuit,
     measured: &[usize],
 ) -> Result<SqemReport, SqemUnsupported> {
-    Ok(plan_sqem(circuit, measured)?.execute(runner).recombine())
+    let plan = plan_sqem(circuit, measured)?;
+    Ok(execute_strategy(&plan, runner).expect("runner violated the batch contract"))
 }
 
 /// Applies subset-local single-qubit instructions to a 2×2 state. The
@@ -412,7 +380,7 @@ mod tests {
             NoiseModel::depolarizing(0.001, 0.01),
             Backend::DensityMatrix,
         );
-        let report = plan.execute(&exec).recombine();
+        let report = execute_strategy(&plan, &exec).unwrap();
         let direct = run_sqem(&exec, &circ, &measured).unwrap();
         let xs: Vec<(u64, f64)> = report.distribution.iter().collect();
         let ys: Vec<(u64, f64)> = direct.distribution.iter().collect();

@@ -58,17 +58,26 @@ pub struct JobFailures {
 }
 
 impl JobFailures {
-    /// A failure-free record for `n` jobs.
-    pub fn none(n: usize) -> Self {
-        JobFailures {
-            per_job: vec![None; n],
-            stats: FailureStats::default(),
+    /// For methods that need every job and so cannot degrade around a
+    /// loss: the first terminally failed job, as a typed error.
+    ///
+    /// # Errors
+    ///
+    /// [`StrategyError::JobFailed`] naming the first failed job
+    /// (batch-jobs order).
+    pub(crate) fn ensure_no_failures(&self) -> Result<(), StrategyError> {
+        let first = self
+            .per_job
+            .iter()
+            .enumerate()
+            .find_map(|(job, e)| Some((job, e.as_ref()?)));
+        match first {
+            Some((job, error)) => Err(StrategyError::JobFailed {
+                job,
+                detail: error.to_string(),
+            }),
+            None => Ok(()),
         }
-    }
-
-    /// Whether any job terminally failed.
-    pub fn any_failed(&self) -> bool {
-        self.per_job.iter().any(|e| e.is_some())
     }
 }
 
@@ -140,8 +149,8 @@ pub trait MitigationStrategy {
     /// Splits `total_shots` across the batch jobs proportionally to
     /// `weights` (batch-jobs order, summing to exactly `total_shots`).
     /// The default is plain largest-remainder apportionment; strategies
-    /// with an internal slot order may override to keep tie-breaking
-    /// consistent with their legacy allocators.
+    /// with an internal slot order may override to break ties in that
+    /// order instead.
     fn allocate_budget(&self, total_shots: usize, weights: &[f64]) -> Vec<usize> {
         apportion_shots(total_shots, weights)
     }
@@ -234,8 +243,8 @@ pub fn apportion_shots(total_shots: usize, weights: &[f64]) -> Vec<usize> {
 }
 
 /// Runs a strategy end-to-end on `runner` with exact distributions: emit
-/// jobs, execute one batch, recombine. The method-agnostic counterpart of
-/// each method's bespoke `execute` helper.
+/// jobs, execute one batch, recombine. The one exact executor of the
+/// baselines: `run_jigsaw`, `run_sqem` and `run_neumann` wrap it.
 ///
 /// # Errors
 ///

@@ -67,10 +67,12 @@ fn bench_distributions(c: &mut Criterion) {
     let n_bits = 15;
     let dim = 1usize << n_bits;
     let probs: Vec<f64> = (0..dim).map(|i| (i % 97) as f64).collect();
-    let g = Distribution::from_probs(n_bits, probs).normalized();
-    let local = Distribution::from_probs(2, vec![0.4, 0.1, 0.3, 0.2]);
+    let g = Distribution::try_from_probs(n_bits, probs)
+        .expect("dense table fits its bits")
+        .normalized();
+    let local = Distribution::try_from_probs(2, vec![0.4, 0.1, 0.3, 0.2]).expect("2-bit table");
     group.bench_function("bayesian_update_15bit", |b| {
-        b.iter(|| black_box(recombine::bayesian_update(&g, &local, &[3, 9])))
+        b.iter(|| black_box(recombine::try_bayesian_update(&g, &local, &[3, 9])))
     });
     group.bench_function("hellinger_fidelity_15bit", |b| {
         b.iter(|| black_box(hellinger_fidelity(&g, &g)))

@@ -80,14 +80,9 @@ fn main() {
         // circuit tally. The cached runner serves the exact pass's
         // distributions back, so this pass only pays for the draws.
         let budget = base_shots * plan.n_programs();
-        let shot_plan = plan
-            .allocate_shots(budget, ShotPolicy::Uniform)
-            .expect("budget funds the floor");
         let sampled = plan
-            .execute_sampled(&exec, &shot_plan, 0xF1D0 + layers as u64)
-            .expect("sampled execution")
-            .recombine()
-            .expect("sampled recombination");
+            .run_sampled(&exec, budget, ShotPolicy::Uniform, 0xF1D0 + layers as u64)
+            .expect("sampled session");
         let total_shots = sampled
             .stats
             .total_shots

@@ -60,26 +60,22 @@ fn sampled_fig2_reproduces_exact_method_ordering() {
 
 #[test]
 fn execute_sampled_matches_sampled_runner_regime() {
-    // The plan-level finite-shot path (execute_sampled) must land in the
-    // same fidelity regime as the runner-level SampledRunner harness on
-    // the same workload and budget.
+    // The plan-level finite-shot path (a `run_sampled` session) must land
+    // in the same fidelity regime as the runner-level SampledRunner
+    // harness on the same workload and budget.
     let noise = fig2_noise();
     let exec = Executor::with_backend(noise, Backend::DensityMatrix);
     let circ = iqft_example();
     let measured = [0usize, 1, 2];
     let plan = QuTracer::plan(&circ, &measured, &QuTracerConfig::single()).unwrap();
     let exact = plan.execute(&exec).unwrap().recombine().unwrap();
-    let shots = plan
-        .allocate_shots(16_384 * plan.n_programs(), ShotPolicy::Uniform)
-        .unwrap();
+    let total = 16_384 * plan.n_programs();
     let sampled = plan
-        .execute_sampled(&exec, &shots, 0xCAFE)
-        .unwrap()
-        .recombine()
+        .run_sampled(&exec, total, ShotPolicy::Uniform, 0xCAFE)
         .unwrap();
     let f = qt_dist::hellinger_fidelity(&sampled.distribution, &exact.distribution);
     assert!(f > 0.995, "sampled vs exact refined distribution: {f}");
-    assert_eq!(sampled.stats.total_shots, Some(shots.total_shots()));
+    assert_eq!(sampled.stats.total_shots, Some(total as u64));
 
     // The shot-noise error bar machinery agrees with reality: two
     // independently seeded global samples are consistent within 5 sigma.

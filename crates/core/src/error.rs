@@ -85,20 +85,13 @@ pub enum ExecError {
     /// Recombination consumed more results than the plan recorded — the
     /// artifacts do not belong to this plan.
     ArtifactsExhausted,
-    /// A finite-shot execution was given a [`qt_sim::ShotPlan`] covering a
-    /// different number of jobs than the plan's deduplicated programs.
+    /// A session round carried a [`qt_sim::ShotPlan`] covering a different
+    /// number of jobs than the session's batch.
     ShotPlanMismatch {
-        /// Deduplicated programs in the mitigation plan.
+        /// Jobs in the session's batch.
         expected: usize,
         /// Jobs the shot plan covers.
         got: usize,
-    },
-    /// A finite-shot execution allocated zero shots to a program: its
-    /// "measured" distribution would be the information-free uniform,
-    /// which recombination cannot distinguish from real data.
-    EmptyShotAllocation {
-        /// The zero-shot program slot.
-        slot: usize,
     },
     /// A total shot budget below the plan's program count: the 1-shot
     /// floor cannot be funded without either overspending the budget or
@@ -163,14 +156,7 @@ impl std::fmt::Display for ExecError {
             ExecError::ShotPlanMismatch { expected, got } => {
                 write!(
                     f,
-                    "shot plan covers {got} jobs but the plan has {expected} deduplicated programs"
-                )
-            }
-            ExecError::EmptyShotAllocation { slot } => {
-                write!(
-                    f,
-                    "program slot {slot} was allocated zero shots; every planned program \
-                     needs at least one shot to measure anything"
+                    "shot plan covers {got} jobs but the session's batch has {expected}"
                 )
             }
             ExecError::InsufficientShotBudget {

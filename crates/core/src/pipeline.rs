@@ -12,7 +12,11 @@
 //!    [`run_batch`](Runner::run_batch) submission. Identical programs
 //!    (e.g. the shared ensemble of symmetric subsets) execute once and fan
 //!    back out; the runner's existing thread-budget policy spreads the
-//!    batch over the machine.
+//!    batch over the machine. [`MitigationPlan::execute_fallible`] runs
+//!    the same batch under the failure domain, and finite-shot runs go
+//!    through a [`MitigationSession`] ([`MitigationPlan::run_sampled`] is
+//!    the one-call form). Every path hands its batch-order outputs and
+//!    [`ExecutionRecord`] to one scatter back to plan slot order.
 //! 3. **Recombination** — [`ExecutionArtifacts::recombine`] replays the
 //!    walk of every subset against the recorded results, purely
 //!    classically, and performs the Bayesian update.
@@ -53,22 +57,23 @@ use crate::trace::{
     TraceError, TraceOutcome,
 };
 use qt_baselines::{
-    apportion_shots, ExecutionRecord, MitigationStrategy, OverheadStats, StrategyError,
+    apportion_shots, ExecutionRecord, JobFailures, MitigationStrategy, OverheadStats, StrategyError,
 };
 use qt_circuit::Circuit;
 use qt_dist::{recombine, Distribution};
 use qt_pcs::QspcStats;
 use qt_sim::{
     try_run_batch_resilient, BatchJob, ExecutionTrie, FailureStats, JobInterner, Program,
-    RetryPolicy, RunError, RunOutput, Runner, ShotPlan, TrieStats,
+    RetryPolicy, RunError, RunOutput, Runner, TrieStats,
 };
 use std::collections::BTreeMap;
 
 /// The framework entry point of the staged pipeline.
 pub struct QuTracer;
 
-/// How [`MitigationPlan::allocate_shots`] splits a total shot budget
-/// across the plan's deduplicated programs.
+/// How a [`MitigationSession`] splits a total shot budget across a
+/// strategy's batch jobs (for a [`MitigationPlan`]: its deduplicated
+/// programs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShotPolicy {
     /// Every deduplicated program gets an equal share — what a naive
@@ -80,9 +85,8 @@ pub enum ShotPolicy {
     /// effective budget — the paper's per-circuit shot accounting carried
     /// through deduplication.
     WeightedByFanout,
-    /// Two-round Neyman allocation (see
-    /// [`MitigationSession`](crate::MitigationSession)): a *pilot* round
-    /// spends `⌊pilot_fraction · total⌋` shots uniformly, per-program
+    /// Two-round Neyman allocation (see [`MitigationSession`]): a *pilot*
+    /// round spends `⌊pilot_fraction · total⌋` shots uniformly, per-program
     /// sampling dispersions are estimated from the pilot counts, and the
     /// remaining budget is split proportionally to those dispersions
     /// (`n_i ∝ σ_i` — the Neyman optimum for equal per-estimate error).
@@ -90,9 +94,7 @@ pub enum ShotPolicy {
     /// wasted. A fraction that leaves either round below one shot per
     /// program degrades to the single-round uniform allocation — at
     /// `pilot_fraction` 0 or 1 the session is bit-identical to
-    /// [`ShotPolicy::Uniform`]. Static use via
-    /// [`MitigationPlan::allocate_shots`] allocates the uniform pilot
-    /// prior.
+    /// [`ShotPolicy::Uniform`].
     Adaptive {
         /// Fraction of the total budget spent on the pilot round; must
         /// lie in `[0, 1]`.
@@ -463,8 +465,7 @@ impl MitigationPlan {
     ) -> Result<ExecutionArtifacts<'p>, ExecError> {
         let jobs = self.batch_jobs();
         let engine_mix = runner.engine_mix(&jobs);
-        let clustered = runner.run_batch(&jobs);
-        self.artifacts_from_outputs(clustered, engine_mix)
+        self.scatter(runner.run_batch(&jobs), ExecutionRecord::exact(engine_mix))
     }
 
     /// The plan's deduplicated jobs in prefix-clustered submission order —
@@ -496,28 +497,7 @@ impl MitigationPlan {
         clustered: Vec<RunOutput>,
         engine_mix: Option<Vec<(String, usize)>>,
     ) -> Result<ExecutionArtifacts<'_>, ExecError> {
-        if clustered.len() != self.batch_order.len() {
-            return Err(ExecError::ResultCountMismatch {
-                expected: self.batch_order.len(),
-                got: clustered.len(),
-            });
-        }
-        let mut outputs: Vec<Option<RunOutput>> = vec![None; self.programs.len()];
-        for (&slot, out) in self.batch_order.iter().zip(clustered) {
-            outputs[slot] = Some(out);
-        }
-        let outputs = outputs
-            .into_iter()
-            .map(|o| o.expect("batch order is a permutation of the program slots"))
-            .collect();
-        Ok(ExecutionArtifacts {
-            plan: self,
-            outputs,
-            sampled_shots: None,
-            engine_mix,
-            failures: None,
-            round_shots: None,
-        })
+        self.scatter(clustered, ExecutionRecord::exact(engine_mix))
     }
 
     /// Stage 2 with a failure domain: executes the plan's batch through
@@ -542,51 +522,67 @@ impl MitigationPlan {
     ) -> Result<ExecutionArtifacts<'p>, ExecError> {
         let jobs = self.batch_jobs();
         let engine_mix = runner.engine_mix(&jobs);
-        let (clustered, stats) = try_run_batch_resilient(runner, &jobs, retry);
-        self.artifacts_from_results(clustered, engine_mix, None, stats)
+        let (results, stats) = try_run_batch_resilient(runner, &jobs, retry);
+        let (outputs, per_job) = results
+            .into_iter()
+            .zip(&jobs)
+            .map(|(res, job)| match res {
+                Ok(out) => (out, None),
+                Err(err) => (placeholder_output(job.measured.len()), Some(err)),
+            })
+            .unzip();
+        let record = ExecutionRecord {
+            engine_mix,
+            failures: Some(JobFailures { per_job, stats }),
+            ..ExecutionRecord::default()
+        };
+        self.scatter(outputs, record)
     }
 
-    /// [`MitigationPlan::artifacts_from_outputs`] for fallible results:
-    /// scatters per-job `Result`s back to program-slot order, parking a
-    /// placeholder at failed slots and recording the typed errors for
-    /// recombination to degrade around.
-    fn artifacts_from_results(
+    /// The one scatter behind every execution path: permutes batch-order
+    /// outputs and the per-job entries of their [`ExecutionRecord`] back to
+    /// program-slot order.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::ResultCountMismatch`] when the outputs, or a per-job
+    /// record entry, do not cover the plan's batch.
+    fn scatter(
         &self,
-        clustered: Vec<Result<RunOutput, RunError>>,
-        engine_mix: Option<Vec<(String, usize)>>,
-        sampled_shots: Option<Vec<u64>>,
-        stats: FailureStats,
+        outputs: Vec<RunOutput>,
+        mut record: ExecutionRecord,
     ) -> Result<ExecutionArtifacts<'_>, ExecError> {
-        if clustered.len() != self.batch_order.len() {
-            return Err(ExecError::ResultCountMismatch {
-                expected: self.batch_order.len(),
-                got: clustered.len(),
-            });
+        let expected = self.batch_order.len();
+        let lens = [
+            Some(outputs.len()),
+            record.sampled_shots.as_ref().map(Vec::len),
+            record.failures.as_ref().map(|f| f.per_job.len()),
+        ];
+        if let Some(got) = lens.into_iter().flatten().find(|&got| got != expected) {
+            return Err(ExecError::ResultCountMismatch { expected, got });
         }
-        let mut outputs: Vec<Option<RunOutput>> = vec![None; self.programs.len()];
-        let mut per_slot: Vec<Option<RunError>> = vec![None; self.programs.len()];
-        for (&slot, res) in self.batch_order.iter().zip(clustered) {
-            match res {
-                Ok(out) => outputs[slot] = Some(out),
-                Err(err) => {
-                    outputs[slot] =
-                        Some(placeholder_output(self.programs[slot].job.measured.len()));
-                    per_slot[slot] = Some(err);
-                }
-            }
+        record.sampled_shots = record.sampled_shots.map(|s| self.to_slot_order(s));
+        if let Some(f) = &mut record.failures {
+            f.per_job = self.to_slot_order(std::mem::take(&mut f.per_job));
         }
-        let outputs = outputs
-            .into_iter()
-            .map(|o| o.expect("batch order is a permutation of the program slots"))
-            .collect();
         Ok(ExecutionArtifacts {
             plan: self,
-            outputs,
-            sampled_shots,
-            engine_mix,
-            failures: Some(SlotFailures { per_slot, stats }),
-            round_shots: None,
+            outputs: self.to_slot_order(outputs),
+            record,
         })
+    }
+
+    /// Permutes a vector aligned with [`MitigationPlan::batch_jobs`] into
+    /// program-slot order.
+    fn to_slot_order<T>(&self, batch: Vec<T>) -> Vec<T> {
+        let mut slots: Vec<Option<T>> = batch.iter().map(|_| None).collect();
+        for (&slot, x) in self.batch_order.iter().zip(batch) {
+            slots[slot] = Some(x);
+        }
+        slots
+            .into_iter()
+            .map(|x| x.expect("batch order is a permutation of the program slots"))
+            .collect()
     }
 
     /// A serializable summary of the plan — the wire-friendly view a
@@ -604,191 +600,29 @@ impl MitigationPlan {
         }
     }
 
-    /// Splits a total shot budget across the plan's deduplicated programs
-    /// (slot order matches [`MitigationPlan::programs`]). Apportionment is
-    /// largest-remainder ([`qt_baselines::apportion_shots`]), so the
-    /// allocation sums to exactly `total_shots` and — because the budget
-    /// is validated to cover at least one shot per program — no program is
-    /// left at zero (a zero-shot program would report a uniform — i.e.
-    /// information-free — distribution).
-    ///
-    /// [`ShotPolicy::Adaptive`] is a *session* policy; allocating it
-    /// statically here yields its uniform pilot prior (after validating
-    /// the pilot fraction).
+    /// Logical requests per program slot: the global run plus one request
+    /// per slot occurrence in every assignment's walk (symmetric subsets
+    /// replay a shared walk, so its slots count once per subset served).
+    /// Sums to `n_requests()` by construction.
+    fn slot_fanout(&self) -> Vec<f64> {
+        let mut fanout = vec![0usize; self.programs.len()];
+        fanout[self.global_slot] += 1;
+        for a in &self.assignments {
+            for &slot in &self.traces[a.trace].slots {
+                fanout[slot] += 1;
+            }
+        }
+        fanout.iter().map(|&f| f.max(1) as f64).collect()
+    }
+
+    /// Runs the plan as a policy-driven [`MitigationSession`] and
+    /// recombines — the one-call form of `session.run(runner)` for callers
+    /// that want a report, not artifacts. With [`ShotPolicy::Adaptive`]
+    /// this is the full two-round pilot/Neyman schedule.
     ///
     /// # Errors
     ///
-    /// [`ExecError::InsufficientShotBudget`] when `total_shots` is below
-    /// the program count — the 1-shot floor would otherwise have to
-    /// overspend the budget or leave zero-shot programs;
-    /// [`ExecError::InvalidPilotFraction`] for an adaptive policy with a
-    /// fraction outside `[0, 1]`.
-    pub fn allocate_shots(
-        &self,
-        total_shots: usize,
-        policy: ShotPolicy,
-    ) -> Result<ShotPlan, ExecError> {
-        let n = self.programs.len();
-        if total_shots < n {
-            return Err(ExecError::InsufficientShotBudget {
-                total_shots,
-                n_programs: n,
-            });
-        }
-        if let ShotPolicy::Adaptive { pilot_fraction } = policy {
-            if !pilot_fraction.is_finite() || !(0.0..=1.0).contains(&pilot_fraction) {
-                return Err(ExecError::InvalidPilotFraction {
-                    value: pilot_fraction,
-                });
-            }
-        }
-        Ok(ShotPlan::from_shots(apportion_shots(
-            total_shots,
-            &self.slot_weights(policy),
-        )))
-    }
-
-    /// Static per-slot shot weights of `policy`, in program-slot order.
-    fn slot_weights(&self, policy: ShotPolicy) -> Vec<f64> {
-        let n = self.programs.len();
-        match policy {
-            ShotPolicy::Uniform | ShotPolicy::Adaptive { .. } => vec![1.0; n],
-            ShotPolicy::WeightedByFanout => {
-                // Logical requests per program slot: the global run plus
-                // one request per slot occurrence in every assignment's
-                // walk (symmetric subsets replay a shared walk, so its
-                // slots count once per subset served). Sums to
-                // `n_requests()` by construction.
-                let mut fanout = vec![0usize; n];
-                fanout[self.global_slot] += 1;
-                for a in &self.assignments {
-                    for &slot in &self.traces[a.trace].slots {
-                        fanout[slot] += 1;
-                    }
-                }
-                fanout.iter().map(|&f| f.max(1) as f64).collect()
-            }
-        }
-    }
-
-    /// Stage 2 at a finite shot budget: executes every planned program as
-    /// one batched *sampled* submission — the same prefix-clustered job
-    /// stream as [`MitigationPlan::execute`], so trie prefix sharing and
-    /// cross-subset dedup carry over, with each deduplicated program
-    /// sampled once and its counts fanned out to every logical request.
-    /// The resulting artifacts recombine through the identical classical
-    /// walk, using plug-in empirical frequencies, and record the real
-    /// sampled shots in the report's [`OverheadStats::total_shots`].
-    ///
-    /// `shots` is indexed by program slot ([`MitigationPlan::programs`]
-    /// order — what [`MitigationPlan::allocate_shots`] produces); `seed`
-    /// makes the run reproducible (counts are stable across machines,
-    /// thread counts and batch policies).
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::ShotPlanMismatch`] if `shots` does not cover exactly
-    /// the plan's programs; [`ExecError::EmptyShotAllocation`] if any
-    /// program is allocated zero shots (its "measurement" would be the
-    /// uniform distribution — fabricated data recombination cannot tell
-    /// from a real result); [`ExecError::ResultCountMismatch`] if the
-    /// runner violates the batch contract.
-    pub fn execute_sampled<'p, R: Runner>(
-        &'p self,
-        runner: &R,
-        shots: &ShotPlan,
-        seed: u64,
-    ) -> Result<ExecutionArtifacts<'p>, ExecError> {
-        self.validate_shot_plan(shots)?;
-        let ordered =
-            ShotPlan::from_shots(self.batch_order.iter().map(|&s| shots.shots(s)).collect());
-        let mut session = MitigationSession::with_shots(self, ordered, seed)?;
-        session.set_engine_mix(runner.engine_mix(session.jobs()));
-        let spec = session
-            .next_round()
-            .expect("a fresh session always has a first round");
-        let clustered = runner.run_batch_sampled(session.jobs(), &spec.shots, spec.seed);
-        session.absorb_sampled(&spec, clustered)?;
-        let (_, outputs, record, _) = session.collect();
-        self.artifacts_from_record(outputs, record)
-    }
-
-    /// Validates a slot-ordered shot plan against this plan's programs:
-    /// the allocation must cover exactly the deduplicated programs and
-    /// leave none at zero shots.
-    fn validate_shot_plan(&self, shots: &ShotPlan) -> Result<(), ExecError> {
-        if shots.n_jobs() != self.programs.len() {
-            return Err(ExecError::ShotPlanMismatch {
-                expected: self.programs.len(),
-                got: shots.n_jobs(),
-            });
-        }
-        if let Some(slot) = shots.per_job().iter().position(|&s| s == 0) {
-            return Err(ExecError::EmptyShotAllocation { slot });
-        }
-        Ok(())
-    }
-
-    /// Builds [`ExecutionArtifacts`] from a session's batch-ordered
-    /// outputs and execution record, scattering everything back to
-    /// program-slot order.
-    fn artifacts_from_record(
-        &self,
-        outputs: Vec<RunOutput>,
-        record: ExecutionRecord,
-    ) -> Result<ExecutionArtifacts<'_>, ExecError> {
-        let n = self.programs.len();
-        if outputs.len() != n {
-            return Err(ExecError::ResultCountMismatch {
-                expected: n,
-                got: outputs.len(),
-            });
-        }
-        let mut slot_outputs: Vec<Option<RunOutput>> = vec![None; n];
-        for (&slot, out) in self.batch_order.iter().zip(outputs) {
-            slot_outputs[slot] = Some(out);
-        }
-        let outputs: Vec<RunOutput> = slot_outputs
-            .into_iter()
-            .map(|o| o.expect("batch order is a permutation of the program slots"))
-            .collect();
-        let sampled_shots = record.sampled_shots.as_ref().map(|per_job| {
-            let mut per_slot = vec![0u64; n];
-            for (&slot, &shots) in self.batch_order.iter().zip(per_job) {
-                per_slot[slot] = shots;
-            }
-            per_slot
-        });
-        let failures = record.failures.as_ref().map(|jf| {
-            let mut per_slot: Vec<Option<RunError>> = vec![None; n];
-            for (&slot, err) in self.batch_order.iter().zip(&jf.per_job) {
-                per_slot[slot] = err.clone();
-            }
-            SlotFailures {
-                per_slot,
-                stats: jf.stats,
-            }
-        });
-        Ok(ExecutionArtifacts {
-            plan: self,
-            outputs,
-            sampled_shots,
-            engine_mix: record.engine_mix,
-            failures,
-            round_shots: record.round_shots,
-        })
-    }
-
-    /// Runs the plan as a policy-driven
-    /// [`MitigationSession`](crate::MitigationSession) and recombines —
-    /// the one-call form of `session.run(runner)` for callers that want a
-    /// report, not artifacts. With [`ShotPolicy::Adaptive`] this is the
-    /// full two-round pilot/Neyman schedule.
-    ///
-    /// # Errors
-    ///
-    /// The session-construction errors of
-    /// [`MitigationSession::new`](crate::MitigationSession::new) plus
+    /// The session-construction errors of [`MitigationSession::new`] plus
     /// whatever execution and recombination report.
     pub fn run_sampled<R: Runner>(
         &self,
@@ -799,67 +633,14 @@ impl MitigationPlan {
     ) -> Result<QuTracerReport, ExecError> {
         MitigationSession::new(self, policy, total_shots, seed)?.run(runner)
     }
-
-    /// [`MitigationPlan::run_sampled`] with the failure domain of
-    /// [`MitigationPlan::execute_sampled_fallible`]: every session round
-    /// executes through the resilient surface and degrades typed.
-    ///
-    /// # Errors
-    ///
-    /// As [`MitigationPlan::run_sampled`].
-    pub fn run_sampled_fallible<R: Runner>(
-        &self,
-        runner: &R,
-        total_shots: usize,
-        policy: ShotPolicy,
-        seed: u64,
-        retry: &RetryPolicy,
-    ) -> Result<QuTracerReport, ExecError> {
-        MitigationSession::new(self, policy, total_shots, seed)?.run_fallible(runner, retry)
-    }
-
-    /// [`MitigationPlan::execute_sampled`] with the failure domain of
-    /// [`MitigationPlan::execute_fallible`]. Exact distributions come from
-    /// the fallible batch surface (so transient failures retry against
-    /// *exact* re-execution), and each surviving job is then sampled with
-    /// the seed derived from its original submission index — a retried
-    /// job's counts are therefore bit-identical to the fault-free sampled
-    /// run, no matter how many attempts it took.
-    ///
-    /// # Errors
-    ///
-    /// The shot-plan validation errors of
-    /// [`MitigationPlan::execute_sampled`], plus
-    /// [`ExecError::ResultCountMismatch`] for a contract-violating runner.
-    pub fn execute_sampled_fallible<'p, R: Runner>(
-        &'p self,
-        runner: &R,
-        shots: &ShotPlan,
-        seed: u64,
-        retry: &RetryPolicy,
-    ) -> Result<ExecutionArtifacts<'p>, ExecError> {
-        self.validate_shot_plan(shots)?;
-        let ordered =
-            ShotPlan::from_shots(self.batch_order.iter().map(|&s| shots.shots(s)).collect());
-        let mut session = MitigationSession::with_shots(self, ordered, seed)?;
-        session.set_engine_mix(runner.engine_mix(session.jobs()));
-        let spec = session
-            .next_round()
-            .expect("a fresh session always has a first round");
-        let (clustered, stats) = try_run_batch_resilient(runner, session.jobs(), retry);
-        session.absorb_fallible(&spec, &clustered, stats)?;
-        let (_, outputs, record, _) = session.collect();
-        self.artifacts_from_record(outputs, record)
-    }
 }
 
 /// The staged pipeline behind the strategy-unified surface: jobs are the
 /// prefix-clustered batch ([`MitigationPlan::batch_jobs`]), recombination
 /// scatters outputs back to program-slot order and runs the full Bayesian
-/// recombination. Budget allocation apportions in *slot* order (the
-/// tie-breaking order of [`MitigationPlan::allocate_shots`]) and permutes
-/// to batch order, so a uniform session round reproduces the legacy
-/// single-round allocation bit-for-bit.
+/// recombination. Budget allocation apportions in *slot* order and
+/// permutes to batch order, so shot ties break in plan order whatever the
+/// trie clustering.
 impl MitigationStrategy for MitigationPlan {
     type Report = QuTracerReport;
 
@@ -876,8 +657,8 @@ impl MitigationStrategy for MitigationPlan {
     }
 
     fn shot_fanout(&self) -> Vec<f64> {
-        let slot_weights = self.slot_weights(ShotPolicy::WeightedByFanout);
-        self.batch_order.iter().map(|&s| slot_weights[s]).collect()
+        let fanout = self.slot_fanout();
+        self.batch_order.iter().map(|&s| fanout[s]).collect()
     }
 
     fn allocate_budget(&self, total_shots: usize, weights: &[f64]) -> Vec<usize> {
@@ -894,16 +675,14 @@ impl MitigationStrategy for MitigationPlan {
         outputs: Vec<RunOutput>,
         record: &ExecutionRecord,
     ) -> Result<QuTracerReport, StrategyError> {
-        let artifacts = self
-            .artifacts_from_record(outputs, record.clone())
-            .map_err(|e| match e {
-                ExecError::ResultCountMismatch { expected, got } => {
-                    StrategyError::ResultCountMismatch { expected, got }
-                }
-                other => StrategyError::Recombine {
-                    detail: other.to_string(),
-                },
-            })?;
+        let artifacts = self.scatter(outputs, record.clone()).map_err(|e| match e {
+            ExecError::ResultCountMismatch { expected, got } => {
+                StrategyError::ResultCountMismatch { expected, got }
+            }
+            other => StrategyError::Recombine {
+                detail: other.to_string(),
+            },
+        })?;
         artifacts.recombine().map_err(|e| match e {
             // Report failed jobs in batch-jobs order — the trait's index
             // space — rather than internal slot order.
@@ -923,37 +702,20 @@ impl MitigationStrategy for MitigationPlan {
 }
 
 /// Stage-2 output: the raw results of every planned program, still keyed
-/// by the plan that produced them. Finite-shot executions
-/// ([`MitigationPlan::execute_sampled`]) carry empirical-frequency
-/// distributions plus the per-program shots actually sampled; exact
-/// executions carry simulator probabilities and no shot record.
+/// by the plan that produced them, plus the [`ExecutionRecord`] of how
+/// they ran. The exact entry points fill them with simulator
+/// probabilities; [`MitigationSession::finish`] with the plug-in
+/// frequencies of sampled counts and the shots behind them.
 #[derive(Debug, Clone)]
 pub struct ExecutionArtifacts<'p> {
     plan: &'p MitigationPlan,
+    /// Outputs in program-slot order. A failed slot holds a zero-mass
+    /// placeholder that recombination never reads: it voids every trace
+    /// depending on that slot instead.
     outputs: Vec<RunOutput>,
-    /// Shots sampled per program slot (`None` for exact executions).
-    sampled_shots: Option<Vec<u64>>,
-    /// Per-engine job counts the runner reported for the batch (`None`
-    /// for runners without engine introspection).
-    engine_mix: Option<Vec<(String, usize)>>,
-    /// Failure record of a fallible execution (`None` for the infallible
-    /// paths). Failed slots hold a zero-mass placeholder in `outputs`
-    /// that recombination never reads: it voids every trace depending on
-    /// a failed slot instead.
-    failures: Option<SlotFailures>,
-    /// Shots spent per session round (pilot first) when the artifacts
-    /// came out of a multi-round [`MitigationSession`](crate::session);
-    /// `None` for single-round and exact executions.
-    round_shots: Option<Vec<u64>>,
-}
-
-/// Per-slot failure record of one fallible execution.
-#[derive(Debug, Clone)]
-struct SlotFailures {
-    /// Terminal error per program slot (plan program order).
-    per_slot: Vec<Option<RunError>>,
-    /// What the retry/quarantine engine did to get here.
-    stats: FailureStats,
+    /// How the batch executed, with its per-job entries in program-slot
+    /// order.
+    record: ExecutionRecord,
 }
 
 /// The stand-in output stored at a failed slot: a zero-mass distribution
@@ -975,33 +737,11 @@ impl ExecutionArtifacts<'_> {
         self.plan
     }
 
-    /// Raw results, aligned with [`MitigationPlan::programs`].
-    pub fn outputs(&self) -> &[RunOutput] {
-        &self.outputs
-    }
-
-    /// Shots sampled per program slot, aligned with
-    /// [`MitigationPlan::programs`] (`None` for exact executions).
-    pub fn sampled_shots(&self) -> Option<&[u64]> {
-        self.sampled_shots.as_deref()
-    }
-
-    /// Total shots sampled across the batch (`None` for exact executions).
-    pub fn total_sampled_shots(&self) -> Option<u64> {
-        self.sampled_shots.as_ref().map(|v| v.iter().copied().sum())
-    }
-
-    /// Per-engine job counts the runner reported for the executed batch
-    /// (`None` for runners without engine introspection).
-    pub fn engine_mix(&self) -> Option<&[(String, usize)]> {
-        self.engine_mix.as_deref()
-    }
-
     /// Terminal typed failures per program slot, aligned with
     /// [`MitigationPlan::programs`] (`None` for infallible executions;
     /// `Some` of all-`None` entries for a fallible run that lost nothing).
     pub fn slot_failures(&self) -> Option<&[Option<RunError>]> {
-        self.failures.as_ref().map(|f| f.per_slot.as_slice())
+        self.record.failures.as_ref().map(|f| f.per_job.as_slice())
     }
 
     /// What the retry/quarantine engine did during a fallible execution
@@ -1009,14 +749,15 @@ impl ExecutionArtifacts<'_> {
     /// [`ExecutionArtifacts::recombine`], which knows the dependency
     /// structure; here it is always 0.
     pub fn failure_stats(&self) -> Option<FailureStats> {
-        self.failures.as_ref().map(|f| f.stats)
+        self.record.failures.as_ref().map(|f| f.stats)
     }
 
     /// The typed failure of `slot`, if that program failed.
     fn slot_failure(&self, slot: usize) -> Option<&RunError> {
-        self.failures
+        self.record
+            .failures
             .as_ref()
-            .and_then(|f| f.per_slot[slot].as_ref())
+            .and_then(|f| f.per_job[slot].as_ref())
     }
 
     /// Stage 3: replays every subset's walk against the recorded results
@@ -1123,10 +864,10 @@ impl ExecutionArtifacts<'_> {
                 },
                 global_two_qubit_gates: global_out.two_qubit_gates,
                 batch: Some(plan.batch_stats),
-                total_shots: self.total_sampled_shots(),
-                round_shots: self.round_shots.clone(),
-                engine_mix: self.engine_mix.clone(),
-                failures: self.failures.as_ref().map(|f| FailureStats {
+                total_shots: self.record.sampled_shots.as_ref().map(|s| s.iter().sum()),
+                round_shots: self.record.round_shots.clone(),
+                engine_mix: self.record.engine_mix.clone(),
+                failures: self.record.failures.as_ref().map(|f| FailureStats {
                     voided_subsets,
                     ..f.stats
                 }),

@@ -4,9 +4,8 @@
 //! through one or two *rounds* of finite-shot execution:
 //!
 //! * Under the static policies ([`ShotPolicy::Uniform`],
-//!   [`ShotPolicy::WeightedByFanout`]) — or an explicit
-//!   [`ShotPlan`] — the session is a single round, bit-identical to the
-//!   legacy `allocate_shots → execute_sampled` path.
+//!   [`ShotPolicy::WeightedByFanout`]) the session is a single round that
+//!   samples with the caller's seed untouched.
 //! * Under [`ShotPolicy::Adaptive`] a *pilot* round spends
 //!   `P = ⌊pilot_fraction · total⌋` shots uniformly, the per-program
 //!   sampling dispersion `σ̂_i = √(1 − Σ_o p̂_i(o)²)` is estimated from the
@@ -44,6 +43,14 @@
 //! from its result cache while they stay resident, and samples them with
 //! [`MitigationSession::absorb_exact`].
 //!
+//! Sessions are the one finite-shot executor: `MitigationPlan::run_sampled`
+//! is `MitigationSession::new(..)?.run(..)`, and a stepwise caller gets
+//! the same report. Absorption accepts only the round the session issued
+//! ([`MitigationSession::next_round`], compared field by field) and, on
+//! the sampled path, only counts that carry exactly the shots the round
+//! allocated — a zero-shot job would otherwise normalize to a uniform
+//! "measurement" that recombination cannot tell from real data.
+//!
 //! A fraction whose pilot (or remainder) cannot fund one shot per program
 //! degrades to the single uniform round — so `pilot_fraction` 0 and 1 are
 //! bit-identical to [`ShotPolicy::Uniform`], property-tested in
@@ -70,8 +77,8 @@ pub struct RoundSpec {
     /// Per-job shots, in [`MitigationStrategy::batch_jobs`] order.
     pub shots: ShotPlan,
     /// Seed for this round's sampling. Single-round sessions use the
-    /// caller's seed untouched (bit-compatibility with the legacy path);
-    /// genuine two-round sessions derive one seed per round.
+    /// caller's seed untouched; genuine two-round sessions derive one seed
+    /// per round.
     pub seed: u64,
 }
 
@@ -123,9 +130,6 @@ pub struct MitigationSession<S: MitigationStrategy> {
     /// `Some(P)` when the session is genuinely two-round: the pilot gets
     /// `P` shots and both rounds can fund every job's 1-shot floor.
     pilot: Option<usize>,
-    /// Explicit single-round allocation (batch-jobs order), bypassing
-    /// policy-driven allocation — what `execute_sampled` builds.
-    explicit: Option<ShotPlan>,
     /// Accumulated counts per job; `None` until a round lands counts.
     acc: Vec<Option<SampledOutput>>,
     /// Terminal error per job with *no* usable counts from any round.
@@ -179,63 +183,13 @@ impl<S: MitigationStrategy> MitigationSession<S> {
             }
             _ => None,
         };
-        Ok(Self::with_state(
+        Ok(MitigationSession {
             strategy,
             jobs,
             policy,
             total_shots,
             seed,
             pilot,
-            None,
-        ))
-    }
-
-    /// Opens a single-round session with an explicit per-job allocation
-    /// (batch-jobs order) — the session form of the legacy
-    /// `execute_sampled` call.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::ShotPlanMismatch`] when `shots` does not cover
-    /// exactly the strategy's batch jobs.
-    pub fn with_shots(strategy: S, shots: ShotPlan, seed: u64) -> Result<Self, ExecError> {
-        let jobs = strategy.batch_jobs();
-        if shots.n_jobs() != jobs.len() {
-            return Err(ExecError::ShotPlanMismatch {
-                expected: jobs.len(),
-                got: shots.n_jobs(),
-            });
-        }
-        let total = shots.total_shots() as usize;
-        Ok(Self::with_state(
-            strategy,
-            jobs,
-            ShotPolicy::Uniform,
-            total,
-            seed,
-            None,
-            Some(shots),
-        ))
-    }
-
-    fn with_state(
-        strategy: S,
-        jobs: Vec<BatchJob>,
-        policy: ShotPolicy,
-        total_shots: usize,
-        seed: u64,
-        pilot: Option<usize>,
-        explicit: Option<ShotPlan>,
-    ) -> Self {
-        let n = jobs.len();
-        MitigationSession {
-            strategy,
-            jobs,
-            policy,
-            total_shots,
-            seed,
-            pilot,
-            explicit,
             acc: vec![None; n],
             errors: vec![None; n],
             fail_stats: FailureStats::default(),
@@ -243,7 +197,7 @@ impl<S: MitigationStrategy> MitigationSession<S> {
             engine_mix: None,
             completed_rounds: 0,
             round_shots: Vec::new(),
-        }
+        })
     }
 
     /// The strategy's batch jobs, in submission order — what every round
@@ -299,13 +253,10 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         match self.pilot {
             None => (self.completed_rounds == 0).then(|| RoundSpec {
                 round: 0,
-                shots: match &self.explicit {
-                    Some(plan) => plan.clone(),
-                    None => ShotPlan::from_shots(
-                        self.strategy
-                            .allocate_budget(self.total_shots, &self.static_weights()),
-                    ),
-                },
+                shots: ShotPlan::from_shots(
+                    self.strategy
+                        .allocate_budget(self.total_shots, &self.static_weights()),
+                ),
                 seed: self.seed,
             }),
             Some(p) => match self.completed_rounds {
@@ -330,26 +281,34 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     }
 
     /// Validates a round's spec and results before anything touches the
-    /// tally: the round must be the expected one, and the shot plan and
-    /// the results must cover the session's jobs. `widths` holds each
-    /// result's measured-bit count (`None` for a failed job).
+    /// tally: the spec must be the one [`MitigationSession::next_round`]
+    /// issues, and the results must cover the session's jobs. `widths`
+    /// holds each result's measured-bit count (`None` for a failed job).
     fn check_round(
         &self,
         spec: &RoundSpec,
         widths: impl ExactSizeIterator<Item = Option<usize>>,
     ) -> Result<(), ExecError> {
-        if spec.round != self.completed_rounds {
+        let Some(issued) = self.next_round() else {
             return Err(ExecError::PlanMismatch {
                 detail: format!(
-                    "absorbed round {} but the session expects round {}",
-                    spec.round, self.completed_rounds
+                    "absorbed round {} after the session's last round",
+                    spec.round
                 ),
             });
-        }
+        };
         if spec.shots.n_jobs() != self.jobs.len() {
             return Err(ExecError::ShotPlanMismatch {
                 expected: self.jobs.len(),
                 got: spec.shots.n_jobs(),
+            });
+        }
+        if *spec != issued {
+            return Err(ExecError::PlanMismatch {
+                detail: format!(
+                    "absorbed a round {} spec the session never issued (it expects round {})",
+                    spec.round, issued.round
+                ),
             });
         }
         if widths.len() != self.jobs.len() {
@@ -373,7 +332,10 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     ///
     /// # Errors
     ///
-    /// [`ExecError::PlanMismatch`] for an out-of-order round,
+    /// [`ExecError::PlanMismatch`] for a spec the session did not issue
+    /// (out of order, past the last round, or another shot plan or seed)
+    /// and for an output whose counts hold a different number of shots
+    /// than the round allocated its job,
     /// [`ExecError::ShotPlanMismatch`] /
     /// [`ExecError::ResultCountMismatch`] for a spec or result vector
     /// that does not cover the session's jobs,
@@ -386,6 +348,17 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         outputs: Vec<SampledOutput>,
     ) -> Result<(), ExecError> {
         self.check_round(spec, outputs.iter().map(|o| Some(o.counts.n_bits())))?;
+        for (job, (out, &shots)) in outputs.iter().zip(spec.shots.per_job()).enumerate() {
+            if out.counts.shots() != shots as u64 {
+                return Err(ExecError::PlanMismatch {
+                    detail: format!(
+                        "job {job} returned {} shots but round {} allocated {shots}",
+                        out.counts.shots(),
+                        spec.round
+                    ),
+                });
+            }
+        }
         self.absorb_round_unchecked(outputs.into_iter().map(Ok));
         Ok(())
     }
@@ -473,11 +446,17 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         self.completed_rounds += 1;
     }
 
-    /// Tears the session down into `(strategy, outputs, record, errors)` —
-    /// the raw material of recombination. Failed jobs hold a zero-mass
-    /// placeholder output and their terminal error sits in both the
-    /// record's failure entry and the returned `errors` vector.
-    pub(crate) fn collect(self) -> (S, Vec<RunOutput>, ExecutionRecord, Vec<Option<RunError>>) {
+    /// Recombines the absorbed rounds into the strategy's report. Jobs no
+    /// round produced counts for hand the strategy a zero-mass placeholder
+    /// output, and their terminal errors ride the record's failure entry.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the strategy's recombination reports, lifted to
+    /// [`ExecError`]: a terminally failed job the method cannot degrade
+    /// around becomes [`ExecError::JobFailed`] (indexed in batch-jobs
+    /// order), contract violations keep their typed forms.
+    pub fn finish(self) -> Result<S::Report, ExecError> {
         let n = self.jobs.len();
         let mut outputs = Vec::with_capacity(n);
         let mut per_job_shots = vec![0u64; n];
@@ -491,7 +470,7 @@ impl<S: MitigationStrategy> MitigationSession<S> {
             }
         }
         let failures = self.fallible.then(|| JobFailures {
-            per_job: self.errors.clone(),
+            per_job: self.errors,
             stats: FailureStats {
                 failed_jobs: self.acc.iter().filter(|a| a.is_none()).count() as u64,
                 ..self.fail_stats
@@ -500,33 +479,21 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         let record = ExecutionRecord {
             sampled_shots: Some(per_job_shots),
             // Round accounting only for genuine multi-round sessions: a
-            // single round must reproduce the legacy report bit-for-bit,
-            // which carries no per-round field.
-            round_shots: self.pilot.is_some().then(|| self.round_shots.clone()),
-            engine_mix: self.engine_mix.clone(),
+            // single-round report carries no per-round field, exactly as
+            // a degenerate adaptive session's does.
+            round_shots: self.pilot.is_some().then_some(self.round_shots),
+            engine_mix: self.engine_mix,
             failures,
         };
-        (self.strategy, outputs, record, self.errors)
-    }
-
-    /// Recombines the absorbed rounds into the strategy's report.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the strategy's recombination reports, lifted to
-    /// [`ExecError`]: a terminally failed job the method cannot degrade
-    /// around becomes [`ExecError::JobFailed`] (indexed in batch-jobs
-    /// order), contract violations keep their typed forms.
-    pub fn finish(self) -> Result<S::Report, ExecError> {
-        let (strategy, outputs, record, errors) = self.collect();
-        strategy
+        self.strategy
             .recombine_outputs(outputs, &record)
             .map_err(|e| match e {
                 StrategyError::ResultCountMismatch { expected, got } => {
                     ExecError::ResultCountMismatch { expected, got }
                 }
                 StrategyError::JobFailed { job, detail } => {
-                    match errors.get(job).and_then(|e| e.clone()) {
+                    let failed = record.failures.as_ref().and_then(|f| f.per_job.get(job));
+                    match failed.cloned().flatten() {
                         Some(error) => ExecError::JobFailed { slot: job, error },
                         None => ExecError::PlanMismatch { detail },
                     }
@@ -555,9 +522,9 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     }
 
     /// [`MitigationSession::run`] with the failure domain of
-    /// `execute_sampled_fallible`: the batch executes once through the
-    /// resilient surface (panic quarantine, bounded retry) and every round
-    /// samples its results. A later round first re-executes the jobs
+    /// `MitigationPlan::execute_fallible`: the batch executes once through
+    /// the resilient surface (panic quarantine, bounded retry) and every
+    /// round samples its results. A later round first re-executes the jobs
     /// whose result is a transient error; permanent failures are final.
     /// Failed jobs degrade, and the report's failure statistics count
     /// each execution once.

@@ -13,12 +13,12 @@ use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
 use qt_circuit::Circuit;
 use qt_core::{
     neyman_weights, ExecError, MitigationSession, MitigationStrategy, QuTracer, QuTracerConfig,
-    QuTracerReport, RetryPolicy, ShotPolicy,
+    QuTracerReport, RetryPolicy, RoundSpec, ShotPolicy,
 };
 use qt_dist::{Counts, Distribution};
 use qt_sim::{
     Backend, BatchJob, BatchPolicy, ChaosConfig, ChaosRunner, Executor, NoiseModel, Program,
-    RunOutput, Runner,
+    RunOutput, Runner, ShotPlan,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -119,21 +119,11 @@ proptest! {
         let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
         let total = 2048 * plan.n_programs();
 
+        // `run_sampled_reports_are_pinned` (tests/sampled_pipeline.rs) pins
+        // the uniform single round itself.
         let uniform = plan
             .run_sampled(&exec, total, ShotPolicy::Uniform, seed)
             .expect("uniform single-round run");
-        // The session surface must itself agree with the legacy
-        // allocate-then-execute chain before we compare pilots against it.
-        let legacy = plan
-            .execute_sampled(
-                &exec,
-                &plan.allocate_shots(total, ShotPolicy::Uniform).expect("funded budget"),
-                seed,
-            )
-            .expect("legacy sampled execution")
-            .recombine()
-            .expect("legacy recombination");
-        assert_reports_bit_identical(&uniform, &legacy, "session vs legacy chain");
 
         for pf in [0.0, 1.0] {
             let adaptive = plan
@@ -293,13 +283,8 @@ proptest! {
         };
         let outcome = |_: ()| {
             let chaos = ChaosRunner::new(executor(), config);
-            plan.run_sampled_fallible(
-                &chaos,
-                total,
-                ShotPolicy::Adaptive { pilot_fraction: 0.25 },
-                seed,
-                &RetryPolicy::immediate(2),
-            )
+            MitigationSession::new(&plan, ShotPolicy::Adaptive { pilot_fraction: 0.25 }, total, seed)?
+                .run_fallible(&chaos, &RetryPolicy::immediate(2))
         };
         match (outcome(()), outcome(())) {
             (Ok(a), Ok(b)) => {
@@ -325,10 +310,13 @@ proptest! {
     }
 }
 
-/// A round whose outputs do not match their jobs' measured widths is a
-/// typed [`ExecError::OutputWidthMismatch`] naming the job — on the sampled
-/// and the exact absorb paths alike — and leaves the tally untouched: the
-/// well-formed round absorbed afterwards yields the one-call report.
+/// A malformed round is a typed error that leaves the tally untouched, so
+/// the well-formed round absorbed afterwards still yields the one-call
+/// report. Malformed means: outputs whose widths differ from their jobs'
+/// (a typed [`ExecError::OutputWidthMismatch`] naming the job, on the
+/// sampled and the exact absorb paths alike), counts holding other shots
+/// than the round allocated, or a spec the session never issued — a
+/// zero-shot job, another seed, or a round past the last one.
 #[test]
 fn a_width_mismatched_round_is_a_typed_error() {
     let circ = qaoa_maxcut(5, &ring_graph(5), &QaoaParams::seeded(1, 3));
@@ -387,14 +375,58 @@ fn a_width_mismatched_round_is_a_typed_error() {
         other => panic!("expected OutputWidthMismatch, got {other:?}"),
     }
 
+    let mut short = good.clone();
+    short[last].counts = Counts::try_from_entries(widths[last], vec![(0, 1)]).expect("1 shot");
+    match session.absorb_sampled(&spec, short) {
+        Err(ExecError::PlanMismatch { detail }) => assert!(detail.contains("shots"), "{detail}"),
+        other => panic!("expected PlanMismatch for a short output, got {other:?}"),
+    }
+
+    // Specs the session never issued: a zero-shot job (its empty counts
+    // would normalize to a uniform "measurement") and another seed.
+    let mut zero_shot = spec.clone();
+    let mut per_job = zero_shot.shots.per_job().to_vec();
+    per_job[0] = 0;
+    zero_shot.shots = ShotPlan::from_shots(per_job);
+    let zero_outputs = exec.run_batch_sampled(session.jobs(), &zero_shot.shots, zero_shot.seed);
+    let reseeded = RoundSpec {
+        seed: spec.seed ^ 1,
+        ..spec.clone()
+    };
+    for (bad, outputs) in [(&zero_shot, zero_outputs), (&reseeded, good.clone())] {
+        match session.absorb_sampled(bad, outputs) {
+            Err(ExecError::PlanMismatch { .. }) => {}
+            other => panic!("expected PlanMismatch for {bad:?}, got {other:?}"),
+        }
+    }
+    match session.absorb_exact(&reseeded, &exec.run_batch(session.jobs())) {
+        Err(ExecError::PlanMismatch { .. }) => {}
+        other => panic!("expected PlanMismatch for a reseeded exact round, got {other:?}"),
+    }
+
     assert_eq!(
         session.rounds_completed(),
         1,
         "rejected rounds are not absorbed"
     );
     session
-        .absorb_sampled(&spec, good)
+        .absorb_sampled(&spec, good.clone())
         .expect("the well-formed round absorbs");
+
+    // A round past the last one would count its shots twice.
+    let extra = RoundSpec {
+        round: session.rounds_completed(),
+        ..spec.clone()
+    };
+    match session.absorb_sampled(&extra, good) {
+        Err(ExecError::PlanMismatch { .. }) => {}
+        other => panic!("expected PlanMismatch for an extra round, got {other:?}"),
+    }
+    assert_eq!(
+        session.rounds_completed(),
+        2,
+        "the extra round is not absorbed"
+    );
     let report = session.finish().expect("recombination");
     assert_reports_bit_identical(&report, &reference, "after rejected rounds");
 }

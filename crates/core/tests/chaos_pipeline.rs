@@ -1,6 +1,6 @@
 //! Chaos properties of the fallible pipeline: fault schedules are driven
-//! through `plan → execute_fallible → recombine` (and through two-round
-//! adaptive sessions) and the invariant is checked at the report level —
+//! through `plan → execute_fallible → recombine` (and through single- and
+//! two-round sessions) and the invariant is checked at the report level —
 //! every run terminates with a report **bit-identical** to the fault-free
 //! run (when the fault budget is recoverable) or with a typed error /
 //! typed degradation (when it is not). No fault schedule may escape as a
@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
 use qt_circuit::Circuit;
 use qt_core::{
-    ExecError, JobKind, QuTracer, QuTracerConfig, QuTracerReport, RetryPolicy, ShotPolicy,
+    ExecError, JobKind, MitigationSession, QuTracer, QuTracerConfig, QuTracerReport, RetryPolicy,
+    ShotPolicy,
 };
 use qt_sim::{
     Backend, ChaosConfig, ChaosRunner, Executor, Fault, JobKey, NoiseModel, RunErrorKind,
@@ -101,6 +102,36 @@ fn job_key(plan: &qt_core::MitigationPlan, global: bool) -> Option<(usize, JobKe
         .map(|(slot, (job, _))| (slot, job.dedup_key()))
 }
 
+/// Runs one session fault-free and once under recoverable chaos and
+/// checks the reports agree bit for bit, shot totals and round ledger
+/// included.
+fn assert_recoverable_session_chaos(
+    circ: &Circuit,
+    measured: &[usize],
+    cfg: &QuTracerConfig,
+    chaos_seed: u64,
+    sample_seed: u64,
+    policy: ShotPolicy,
+) {
+    let plan = QuTracer::plan(circ, measured, cfg).expect("plannable workload");
+    let total = 512 * plan.n_programs();
+    let clean = plan
+        .run_sampled(&executor(), total, policy, sample_seed)
+        .expect("fault-free session");
+
+    let chaos = ChaosRunner::new(executor(), recoverable_chaos(chaos_seed));
+    let report = MitigationSession::new(&plan, policy, total, sample_seed)
+        .expect("valid session")
+        .run_fallible(&chaos, &RetryPolicy::immediate(3))
+        .expect("recoverable chaos must still recombine");
+
+    assert_reports_bit_identical(&report, &clean, "recoverable session chaos");
+    assert_eq!(report.stats.total_shots, clean.stats.total_shots);
+    assert_eq!(report.stats.round_shots, clean.stats.round_shots);
+    let failures = report.stats.failures.expect("fallible sessions record failures");
+    assert_eq!(failures.failed_jobs, 0, "all faults were recoverable");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -139,33 +170,18 @@ proptest! {
         );
     }
 
-    /// The sampled twin: retried jobs are re-sampled from their original
-    /// submission-index seeds, so recovered chaos leaves the finite-shot
-    /// report bit-identical too.
+    /// The sampled twin: a single-round session re-samples retried jobs
+    /// from their original submission-index seeds, so recovered chaos
+    /// leaves the finite-shot report bit-identical too.
     #[test]
     fn recoverable_chaos_sampled_is_bit_identical(
         (circ, measured, cfg) in arb_workload(),
         chaos_seed in 1u64..500,
         sample_seed in 0u64..1000,
     ) {
-        let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
-        let shots = plan.allocate_shots(512 * plan.n_programs(), ShotPolicy::Uniform)
-            .expect("budget funds the floor");
-        let clean = plan
-            .execute_sampled(&executor(), &shots, sample_seed)
-            .expect("fault-free sampled execution")
-            .recombine()
-            .expect("fault-free sampled recombination");
-
-        let chaos = ChaosRunner::new(executor(), recoverable_chaos(chaos_seed));
-        let report = plan
-            .execute_sampled_fallible(&chaos, &shots, sample_seed, &RetryPolicy::immediate(3))
-            .expect("fallible sampled execution")
-            .recombine()
-            .expect("recoverable sampled chaos must still recombine");
-
-        assert_reports_bit_identical(&report, &clean, "recoverable sampled chaos");
-        prop_assert_eq!(report.stats.total_shots, clean.stats.total_shots);
+        assert_recoverable_session_chaos(
+            &circ, &measured, &cfg, chaos_seed, sample_seed, ShotPolicy::Uniform,
+        );
     }
 
     /// The two-round twin: an adaptive session executes its batch once,
@@ -179,23 +195,14 @@ proptest! {
         chaos_seed in 1u64..500,
         sample_seed in 0u64..1000,
     ) {
-        let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
-        let total = 512 * plan.n_programs();
-        let policy = ShotPolicy::Adaptive { pilot_fraction: 0.5 };
-        let clean = plan
-            .run_sampled(&executor(), total, policy, sample_seed)
-            .expect("fault-free adaptive session");
-
-        let chaos = ChaosRunner::new(executor(), recoverable_chaos(chaos_seed));
-        let report = plan
-            .run_sampled_fallible(&chaos, total, policy, sample_seed, &RetryPolicy::immediate(3))
-            .expect("recoverable chaos must still recombine");
-
-        assert_reports_bit_identical(&report, &clean, "recoverable adaptive chaos");
-        prop_assert_eq!(report.stats.total_shots, clean.stats.total_shots);
-        prop_assert_eq!(&report.stats.round_shots, &clean.stats.round_shots);
-        let failures = report.stats.failures.expect("fallible sessions record failures");
-        prop_assert_eq!(failures.failed_jobs, 0, "all faults were recoverable");
+        assert_recoverable_session_chaos(
+            &circ,
+            &measured,
+            &cfg,
+            chaos_seed,
+            sample_seed,
+            ShotPolicy::Adaptive { pilot_fraction: 0.5 },
+        );
     }
 
     /// Determinism of the whole failure domain: the same fault seed
@@ -293,7 +300,8 @@ fn two_round_sessions_count_each_failure_once() {
     for fault in [Fault::Fatal, Fault::Panic] {
         let run = |policy: ShotPolicy| {
             let chaos = ChaosRunner::new(executor(), ChaosConfig::quiet(1)).with_fault(key, fault);
-            plan.run_sampled_fallible(&chaos, total, policy, 11, &RetryPolicy::none())
+            MitigationSession::new(&plan, policy, total, 11)
+                .and_then(|session| session.run_fallible(&chaos, &RetryPolicy::none()))
                 .expect("a local fault must degrade, not fail")
         };
         let uniform = run(ShotPolicy::Uniform);
@@ -337,8 +345,8 @@ fn a_transient_pilot_failure_recovers_in_round_two() {
 
     let chaos = ChaosRunner::new(executor(), ChaosConfig::quiet(1))
         .with_fault(key, Fault::Transient { attempts: 1 });
-    let report = plan
-        .run_sampled_fallible(&chaos, total, policy, 11, &RetryPolicy::none())
+    let report = MitigationSession::new(&plan, policy, total, 11)
+        .and_then(|session| session.run_fallible(&chaos, &RetryPolicy::none()))
         .expect("a recovered job must not fail the session");
 
     assert_eq!(chaos.injected().transient_errors, 1, "one failed attempt");

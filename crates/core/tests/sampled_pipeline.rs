@@ -1,15 +1,27 @@
 //! Finite-shot pipeline properties: the sampled staged pipeline
-//! (`plan → execute_sampled → recombine`) must converge to the exact
-//! pipeline as the shot budget grows, allocate budgets exactly, record
-//! real shots in the overhead stats, and surface shape errors as typed
-//! values instead of panics.
+//! (`plan → run_sampled`, a single-round session) must converge to the
+//! exact pipeline as the shot budget grows, allocate budgets exactly,
+//! record real shots in the overhead stats, and keep its reports pinned
+//! bit for bit.
 
 use proptest::prelude::*;
 use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
 use qt_circuit::Circuit;
-use qt_core::{ExecError, QuTracer, QuTracerConfig, ShotPolicy};
+use qt_core::{
+    MitigationPlan, MitigationSession, QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy,
+};
 use qt_dist::hellinger_fidelity;
 use qt_sim::{Backend, Executor, NoiseModel, ShotPlan};
+
+/// The first round a fresh session issues for `plan` — its whole shot
+/// allocation under the static policies.
+fn first_round_shots(plan: &MitigationPlan, total: usize, policy: ShotPolicy) -> ShotPlan {
+    MitigationSession::new(plan, policy, total, 0)
+        .expect("budget funds the floor")
+        .next_round()
+        .expect("a fresh session has a round")
+        .shots
+}
 
 fn executor() -> Executor {
     Executor::with_backend(
@@ -60,12 +72,9 @@ proptest! {
         let mut fidelities = Vec::new();
         for per_program in [64usize, 65_536] {
             let budget = per_program * plan.n_programs();
-            let shots = plan.allocate_shots(budget, ShotPolicy::Uniform).expect("budget funds the floor");
             let report = plan
-                .execute_sampled(&exec, &shots, seed)
-                .expect("sampled execution")
-                .recombine()
-                .expect("sampled recombination");
+                .run_sampled(&exec, budget, ShotPolicy::Uniform, seed)
+                .expect("sampled run");
             prop_assert_eq!(report.stats.total_shots, Some(budget as u64));
             fidelities.push(hellinger_fidelity(&report.distribution, &exact.distribution));
         }
@@ -79,15 +88,14 @@ proptest! {
         );
     }
 
-    /// Sampling is a pure function of the plan, the shot plan and the seed.
+    /// Sampling is a pure function of the plan, the budget and the seed.
     #[test]
     fn sampled_pipeline_is_seed_stable((circ, measured, cfg) in arb_workload()) {
         let exec = executor();
         let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
-        let shots = plan.allocate_shots(2048 * plan.n_programs(), ShotPolicy::Uniform)
-        .expect("budget funds the floor");
-        let a = plan.execute_sampled(&exec, &shots, 5).unwrap().recombine().unwrap();
-        let b = plan.execute_sampled(&exec, &shots, 5).unwrap().recombine().unwrap();
+        let total = 2048 * plan.n_programs();
+        let a = plan.run_sampled(&exec, total, ShotPolicy::Uniform, 5).unwrap();
+        let b = plan.run_sampled(&exec, total, ShotPolicy::Uniform, 5).unwrap();
         let xs: Vec<(u64, f64)> = a.distribution.iter().collect();
         let ys: Vec<(u64, f64)> = b.distribution.iter().collect();
         prop_assert_eq!(xs.len(), ys.len(), "same seed, same support");
@@ -107,7 +115,7 @@ fn uniform_allocation_splits_exactly() {
     // A budget that does not divide evenly: largest-remainder must still
     // sum exactly, with every program within one shot of the others.
     let total = 10 * n + n / 2;
-    let shots = plan.allocate_shots(total, ShotPolicy::Uniform).unwrap();
+    let shots = first_round_shots(&plan, total, ShotPolicy::Uniform);
     assert_eq!(shots.n_jobs(), n);
     assert_eq!(shots.total_shots(), total as u64);
     let (min, max) = (
@@ -129,9 +137,7 @@ fn fanout_weighted_allocation_favors_shared_programs() {
     assert!(plan.n_requests() > plan.n_programs(), "dedup happened");
 
     let total = 1000 * plan.n_requests();
-    let weighted = plan
-        .allocate_shots(total, ShotPolicy::WeightedByFanout)
-        .unwrap();
+    let weighted = first_round_shots(&plan, total, ShotPolicy::WeightedByFanout);
     assert_eq!(weighted.total_shots(), total as u64);
     // Programs serving many requests get proportionally more than the
     // single-request ones.
@@ -145,57 +151,81 @@ fn fanout_weighted_allocation_favors_shared_programs() {
     );
     // Every program gets at least one shot when the budget affords it.
     assert!(min >= 1, "no zero-shot programs");
-    let uniform = plan
-        .allocate_shots(plan.n_programs(), ShotPolicy::Uniform)
-        .unwrap();
+    let uniform = first_round_shots(&plan, plan.n_programs(), ShotPolicy::Uniform);
     assert!(uniform.per_job().iter().all(|&s| s == 1));
 }
 
-#[test]
-fn mismatched_shot_plans_are_typed_errors() {
-    let circ = vqe_ansatz(4, 1, 7);
-    let measured: Vec<usize> = (0..4).collect();
-    let plan = QuTracer::plan(&circ, &measured, &QuTracerConfig::single()).unwrap();
-    let exec = executor();
-    let wrong = ShotPlan::uniform(plan.n_programs() + 3, 100);
-    match plan.execute_sampled(&exec, &wrong, 1) {
-        Err(ExecError::ShotPlanMismatch { expected, got }) => {
-            assert_eq!(expected, plan.n_programs());
-            assert_eq!(got, plan.n_programs() + 3);
+/// FNV-1a over a sampled report: every refined `(outcome, p.to_bits())`
+/// pair, then the total shots and the per-round ledger.
+fn report_hash(report: &QuTracerReport) -> u64 {
+    fn eat(h: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *h = (*h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        other => panic!("expected ShotPlanMismatch, got {other:?}"),
     }
-    let e = plan.execute_sampled(&exec, &wrong, 1).unwrap_err();
-    assert!(e.to_string().contains("shot plan"), "{e}");
-
-    // A zero-shot program would fabricate a uniform "measurement" that
-    // recombination cannot tell from real data — rejected up front.
-    let mut per_job = vec![100usize; plan.n_programs()];
-    per_job[1] = 0;
-    match plan.execute_sampled(&exec, &ShotPlan::from_shots(per_job), 1) {
-        Err(ExecError::EmptyShotAllocation { slot }) => assert_eq!(slot, 1),
-        other => panic!("expected EmptyShotAllocation, got {other:?}"),
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (outcome, p) in report.distribution.iter() {
+        eat(&mut h, outcome);
+        eat(&mut h, p.to_bits());
     }
+    eat(&mut h, report.stats.total_shots.unwrap_or(u64::MAX));
+    match &report.stats.round_shots {
+        None => eat(&mut h, u64::MAX),
+        Some(rounds) => {
+            eat(&mut h, rounds.len() as u64);
+            for &r in rounds {
+                eat(&mut h, r);
+            }
+        }
+    }
+    h
 }
 
+/// `run_sampled` reports are pinned bit for bit: a symmetric-pair QAOA-6
+/// ring and a single-qubit-subset VQE-5 under every shot policy, on the
+/// exact density-matrix engine.
 #[test]
-fn sampled_artifacts_expose_per_program_shots() {
-    let circ = vqe_ansatz(4, 1, 2);
-    let measured: Vec<usize> = (0..4).collect();
-    let plan = QuTracer::plan(&circ, &measured, &QuTracerConfig::single()).unwrap();
+fn run_sampled_reports_are_pinned() {
     let exec = executor();
-    let shots = plan
-        .allocate_shots(500 * plan.n_programs(), ShotPolicy::Uniform)
-        .unwrap();
-    let artifacts = plan.execute_sampled(&exec, &shots, 3).unwrap();
-    let per_slot = artifacts
-        .sampled_shots()
-        .expect("sampled run records shots");
-    assert_eq!(per_slot.len(), plan.n_programs());
-    for (i, &s) in per_slot.iter().enumerate() {
-        assert_eq!(s, shots.shots(i) as u64, "slot {i}");
+    let workloads = [
+        (
+            "qaoa6",
+            qaoa_maxcut(6, &ring_graph(6), &QaoaParams::seeded(1, 5)),
+            QuTracerConfig::pairs().with_symmetric_subsets(),
+        ),
+        ("vqe5", vqe_ansatz(5, 1, 3), QuTracerConfig::single()),
+    ];
+    let policies = [
+        ShotPolicy::Uniform,
+        ShotPolicy::WeightedByFanout,
+        ShotPolicy::Adaptive {
+            pilot_fraction: 0.5,
+        },
+    ];
+    // A changed constant means sampled runs report different bits. VQE-5
+    // serves every program once, so fan-out weighting is uniform there.
+    const PINNED: [[u64; 3]; 2] = [
+        [
+            0xdabe_2302_b4ab_4b4f,
+            0xcd4d_e052_f962_29e3,
+            0x1768_2d70_946a_3894,
+        ],
+        [
+            0xfb80_a807_870c_c43b,
+            0xfb80_a807_870c_c43b,
+            0x9e77_7db7_c15c_4b29,
+        ],
+    ];
+    let mut got = [[0u64; 3]; 2];
+    for (w, (name, circ, cfg)) in workloads.iter().enumerate() {
+        let measured: Vec<usize> = (0..circ.n_qubits()).collect();
+        let plan = QuTracer::plan(circ, &measured, cfg).expect("plannable workload");
+        for (p, &policy) in policies.iter().enumerate() {
+            let report = plan
+                .run_sampled(&exec, 1000 * plan.n_programs(), policy, 2024)
+                .unwrap_or_else(|e| panic!("{name} {policy:?}: {e}"));
+            got[w][p] = report_hash(&report);
+        }
     }
-    assert_eq!(artifacts.total_sampled_shots(), Some(shots.total_shots()));
-    // The exact path records nothing.
-    assert_eq!(plan.execute(&exec).unwrap().total_sampled_shots(), None);
+    assert_eq!(got, PINNED, "{got:#x?}");
 }

@@ -394,19 +394,6 @@ impl Distribution {
         })
     }
 
-    /// [`Distribution::try_from_probs`], panicking on shape errors.
-    ///
-    /// Kept as a thin migration alias for call sites whose inputs are
-    /// correct by construction; new code should prefer the `try_`
-    /// constructor. Slated for removal.
-    #[doc(hidden)]
-    pub fn from_probs(n_bits: usize, probs: Vec<f64>) -> Self {
-        match Self::try_from_probs(n_bits, probs) {
-            Ok(d) => d,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The uniform distribution over `n_bits` outcomes — inherently dense
     /// (every outcome carries mass).
     ///
@@ -642,19 +629,6 @@ impl Counts {
             n_bits,
             counts: Mass::from_sorted(n_bits, entries, DEFAULT_DENSE_THRESHOLD),
         })
-    }
-
-    /// [`Counts::try_from_counts`], panicking on shape errors.
-    ///
-    /// Kept as a thin migration alias for call sites whose inputs are
-    /// correct by construction; new code should prefer the `try_`
-    /// constructor. Slated for removal.
-    #[doc(hidden)]
-    pub fn from_counts(n_bits: usize, counts: Vec<u64>) -> Self {
-        match Self::try_from_counts(n_bits, counts) {
-            Ok(c) => c,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Number of outcome bits.
@@ -970,12 +944,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "do not fit")]
-    fn panicking_alias_still_rejects_too_many_entries() {
-        let _ = Distribution::from_probs(1, vec![0.2; 3]);
-    }
-
-    #[test]
     fn wide_sparse_tables_construct_but_refuse_densify() {
         // 40 bits is far past the dense cap; the sparse map holds it fine.
         let d = Distribution::try_from_entries(40, vec![(0, 0.5), (1 << 39, 0.5)]).unwrap();
@@ -1140,9 +1108,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "do not fit")]
     fn counts_reject_too_many_entries() {
-        let _ = Counts::from_counts(1, vec![1; 3]);
+        let err = Counts::try_from_counts(1, vec![1; 3]).expect_err("3 entries, 1 bit");
+        assert_eq!(err, DistError::ExcessEntries { len: 3, n_bits: 1 });
+        assert!(err.to_string().contains("do not fit"));
     }
 
     #[test]

@@ -119,23 +119,6 @@ pub fn try_bayesian_update(
         .normalized())
 }
 
-/// [`try_bayesian_update`], panicking on shape errors.
-///
-/// Kept as a thin migration alias for call sites whose shapes are correct
-/// by construction; new code should prefer the `try_` updater. Slated for
-/// removal.
-#[doc(hidden)]
-pub fn bayesian_update(
-    global: &Distribution,
-    local: &Distribution,
-    positions: &[usize],
-) -> Distribution {
-    match try_bayesian_update(global, local, positions) {
-        Ok(d) => d,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Applies [`try_bayesian_update`] for every `(local, positions)` pair in
 /// sequence — the full recombination over all traced subsets. Later
 /// updates can perturb earlier subsets' marginals when subsets overlap or
@@ -157,21 +140,6 @@ where
         acc = try_bayesian_update(&acc, local, positions)?;
     }
     Ok(acc)
-}
-
-/// [`try_bayesian_update_all`], panicking on shape errors.
-///
-/// Kept as a thin migration alias; new code should prefer the `try_`
-/// updater. Slated for removal.
-#[doc(hidden)]
-pub fn bayesian_update_all<'a, I>(global: &Distribution, subsets: I) -> Distribution
-where
-    I: IntoIterator<Item = (&'a Distribution, &'a [usize])>,
-{
-    match try_bayesian_update_all(global, subsets) {
-        Ok(d) => d,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Finite-shot variant of [`try_bayesian_update`]: both sides are sampled

@@ -914,7 +914,9 @@ impl<'a, R: Runner> QspcPair<'a, R> {
             *p = ((1.0 + s0 * z0 + s1 * z1 + s0 * s1 * zz) / 4.0).max(0.0);
         }
         (
-            qt_dist::Distribution::from_probs(2, probs).normalized(),
+            qt_dist::Distribution::try_from_probs(2, probs)
+                .expect("four probabilities fit two bits")
+                .normalized(),
             den,
             stats,
         )

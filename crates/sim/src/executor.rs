@@ -141,29 +141,6 @@ impl ShotPlan {
     pub fn total_shots(&self) -> u64 {
         self.per_job.iter().map(|&s| s as u64).sum()
     }
-
-    /// The job-wise sum of two allocations over the same batch — what a
-    /// multi-round session has spent *in total* after merging a pilot
-    /// round into the final one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plans cover different job counts.
-    pub fn merge(&self, other: &ShotPlan) -> ShotPlan {
-        assert_eq!(
-            self.per_job.len(),
-            other.per_job.len(),
-            "cannot merge shot plans over different batches"
-        );
-        ShotPlan {
-            per_job: self
-                .per_job
-                .iter()
-                .zip(&other.per_job)
-                .map(|(&a, &b)| a + b)
-                .collect(),
-        }
-    }
 }
 
 /// The per-job sampling seed of a batched finite-shot submission: a
@@ -171,10 +148,10 @@ impl ShotPlan {
 /// each other *and* from the per-stream offsets inside one job's sampler
 /// (which are additive in the raw seed).
 ///
-/// Public because fallible execution paths (`qt_core`'s
-/// `execute_sampled_fallible`) sample retried jobs *after* exact
-/// re-execution and must reuse the seed of each job's original submission
-/// index to stay bit-identical to the fault-free run.
+/// Public because multi-round sessions (`qt_core::MitigationSession`)
+/// derive one seed per round from the caller's seed with it; within a
+/// round, [`sample_batch`] keys every job's draws to its submission index,
+/// so a retried job is sampled bit-identically to the fault-free run.
 pub fn job_sample_seed(seed: u64, index: usize) -> u64 {
     let mut z = seed
         ^ (index as u64)
@@ -188,7 +165,7 @@ pub fn job_sample_seed(seed: u64, index: usize) -> u64 {
 /// Samples every job of an executed batch: job `i` draws
 /// `shots.shots(i)` outcomes from `outputs[i]` seeded by
 /// [`job_sample_seed`]`(seed, i)`. This is the one dist-then-sample step of
-/// every batched finite-shot path (the [`Runner`] sampled surfaces and
+/// every batched finite-shot path ([`Runner::run_batch_sampled`] and
 /// `qt_core`'s session absorption); jobs fan out over
 /// [`backend::parallel_indexed`], and since each job's counts depend only
 /// on its own output, shots and seed, the result is bit-identical for any
@@ -636,25 +613,6 @@ pub trait Runner {
             .collect()
     }
 
-    /// Executes `program` at a finite shot budget: the noisy distribution
-    /// is computed as in [`Runner::run`], then `shots` outcomes are drawn
-    /// from it (dist-then-multinomial). Counts depend only on the job and
-    /// `(shots, seed)` — stable across machines and thread counts.
-    fn run_sampled(
-        &self,
-        program: &Program,
-        measured: &[usize],
-        shots: usize,
-        seed: u64,
-    ) -> SampledOutput {
-        self.run_batch_sampled(
-            &[BatchJob::new(program.clone(), measured)],
-            &ShotPlan::uniform(1, shots),
-            seed,
-        )
-        .remove(0)
-    }
-
     /// Executes a batch of independent jobs at finite shot budgets,
     /// returning sampled counts in job order. The default implementation
     /// runs the batch through [`Runner::run_batch`] — inheriting whatever
@@ -666,9 +624,8 @@ pub trait Runner {
     ///
     /// # Panics
     ///
-    /// Panics if `shots` does not cover exactly `jobs.len()` jobs (callers
-    /// with fallible plumbing validate first — see
-    /// `qt_core::MitigationPlan::execute_sampled`).
+    /// Panics if `shots` does not cover exactly `jobs.len()` jobs (a
+    /// `qt_core::MitigationSession` round always covers its batch).
     fn run_batch_sampled(
         &self,
         jobs: &[BatchJob],
@@ -699,25 +656,6 @@ pub trait Runner {
     /// healthy results.
     fn try_run_batch(&self, jobs: &[BatchJob]) -> Vec<Result<RunOutput, crate::RunError>> {
         self.run_batch(jobs).into_iter().map(Ok).collect()
-    }
-
-    /// Fallible finite-shot batch surface. Mirrors
-    /// [`Runner::run_batch_sampled`]: exact distributions come from
-    /// [`Runner::try_run_batch`], then each successful job is sampled with
-    /// its index-derived seed ([`try_sample_batch`]) — so the `Ok` entries
-    /// are bit-identical to the infallible sampled path regardless of
-    /// which other jobs failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shots` does not cover exactly `jobs.len()` jobs.
-    fn try_run_batch_sampled(
-        &self,
-        jobs: &[BatchJob],
-        shots: &ShotPlan,
-        seed: u64,
-    ) -> Vec<Result<SampledOutput, crate::RunError>> {
-        try_sample_batch(&self.try_run_batch(jobs), shots, seed)
     }
 }
 

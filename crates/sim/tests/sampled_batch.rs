@@ -82,15 +82,6 @@ fn sampled_counts_are_identical_across_batch_policies_and_defaults() {
 }
 
 #[test]
-fn single_job_sampling_matches_its_batch() {
-    let exec = executor();
-    let jobs = qaoa_like_jobs();
-    let single = exec.run_sampled(&jobs[0].program, &jobs[0].measured, 3000, 9);
-    let batch = exec.run_batch_sampled(&jobs[0..1], &ShotPlan::uniform(1, 3000), 9);
-    assert_eq!(single, batch[0]);
-}
-
-#[test]
 fn sampler_is_invariant_to_worker_thread_count() {
     let dist = Distribution::try_from_probs(3, vec![0.05, 0.3, 0.15, 0.2, 0.1, 0.08, 0.07, 0.05])
         .expect("3-bit test distribution");
@@ -135,8 +126,9 @@ fn empirical_frequencies_converge_to_the_noisy_distribution() {
     c.h(0).cx(0, 1).ry(2, 0.4).cz(1, 2);
     let p = Program::from_circuit(&c);
     let exact = exec.run(&p, &[0, 1, 2]);
-    let sampled = exec.run_sampled(&p, &[0, 1, 2], 1 << 20, 5);
-    let freq = sampled.to_run_output();
+    let job = BatchJob::new(p, vec![0, 1, 2]);
+    let sampled = exec.run_batch_sampled(&[job], &ShotPlan::uniform(1, 1 << 20), 5);
+    let freq = sampled[0].to_run_output();
     for i in 0..8 {
         let (f, e) = (freq.dist.prob(i), exact.dist.prob(i));
         assert!((f - e).abs() < 5e-3, "frequency {f} vs exact {e}");

@@ -90,8 +90,8 @@ proptest! {
     ) {
         prop_assume!(probs.iter().sum::<f64>() > 1e-6);
         prop_assume!(other.iter().sum::<f64>() > 1e-6);
-        let p = Distribution::from_probs(3, probs).normalized();
-        let q = Distribution::from_probs(3, other).normalized();
+        let p = Distribution::try_from_probs(3, probs).expect("3-bit table").normalized();
+        let q = Distribution::try_from_probs(3, other).expect("3-bit table").normalized();
         let f = hellinger_fidelity(&p, &q);
         prop_assert!((0.0..=1.0 + 1e-12).contains(&f));
         prop_assert!((hellinger_fidelity(&p, &p) - 1.0).abs() < 1e-9);
@@ -104,9 +104,9 @@ proptest! {
         local in prop::collection::vec(0.01..1.0f64, 2),
         pos in 0usize..4,
     ) {
-        let g = Distribution::from_probs(4, probs).normalized();
-        let l = Distribution::from_probs(1, local).normalized();
-        let updated = recombine::bayesian_update(&g, &l, &[pos]);
+        let g = Distribution::try_from_probs(4, probs).expect("4-bit table").normalized();
+        let l = Distribution::try_from_probs(1, local).expect("1-bit table").normalized();
+        let updated = recombine::try_bayesian_update(&g, &l, &[pos]).expect("position in range");
         prop_assert!((updated.total() - 1.0).abs() < 1e-9);
         let m = updated.marginal(&[pos]);
         prop_assert!((m.prob(0) - l.prob(0)).abs() < 1e-9);
