@@ -18,13 +18,13 @@
 //!   to the recombined report.
 //!
 //! **Pilot-absorption soundness.** Both rounds sample *one* execution of
-//! the batch: [`MitigationSession::run`] executes every job once and each
-//! round draws its multinomial sample from those exact outputs with its
-//! own derived seed. Merging the two independent samples of the same
-//! per-program distribution yields exactly the multinomial sample of the
-//! combined shot count: the pooled estimator is unbiased and its
-//! per-program variance is `σ_i²/(n_i^pilot + n_i^final)`. Adaptivity only
-//! chooses `n_i^final` *after* observing the pilot, which rescales
+//! the batch: [`MitigationSession::finish_exact`] takes every job's exact
+//! output and each round draws its multinomial sample from those outputs
+//! with its own derived seed. Merging the two independent samples of the
+//! same per-program distribution yields exactly the multinomial sample of
+//! the combined shot count: the pooled estimator is unbiased and its
+//! per-program variance is `σ_i²/(n_i^pilot + n_i^final)`. Adaptivity
+//! only chooses `n_i^final` *after* observing the pilot, which rescales
 //! variances but cannot bias the frequencies — what the shots *are* never
 //! depends on their outcomes, only how many more are drawn. Engines are
 //! deterministic given the job, so a stepwise caller that executes every
@@ -38,10 +38,11 @@
 //! (retries, quarantined panics, corrupt outputs) sum over the executions
 //! that actually ran.
 //!
-//! The `qt-serve` service drives the stepwise surface instead: it requeues
-//! every round through its batcher, which serves round 2's exact outputs
-//! from its result cache while they stay resident, and samples them with
-//! [`MitigationSession::absorb_exact`].
+//! **Who executes.** [`MitigationSession::run`] executes the batch through
+//! a [`Runner`] and calls [`MitigationSession::finish_exact`]. An executor
+//! that owns the batching calls it directly: the `qt-serve` service runs a
+//! session's jobs once through its cross-request batcher and result cache
+//! and finishes the session in that same batch pass.
 //!
 //! Sessions are the one finite-shot executor: `MitigationPlan::run_sampled`
 //! is `MitigationSession::new(..)?.run(..)`, and a stepwise caller gets
@@ -116,11 +117,11 @@ pub fn neyman_weights(dispersions: &[Option<f64>]) -> Vec<f64> {
 /// yields the next [`RoundSpec`] (or `None` when done), one of the
 /// `absorb_*` methods feeds that round's results back, and
 /// [`MitigationSession::finish`] recombines the accumulated counts into
-/// the strategy's report. [`MitigationSession::run`] and
-/// [`MitigationSession::run_fallible`] drive the loop against a
-/// [`Runner`] directly; the stepwise surface exists for executors that own
-/// the batching themselves (the `qt-serve` service runs each round through
-/// its cross-request trie batcher and cache).
+/// the strategy's report. [`MitigationSession::finish_exact`] runs that
+/// loop over one exact execution of the batch, whoever executed it (the
+/// `qt-serve` service executes through its cross-request trie batcher and
+/// cache); [`MitigationSession::run`] and
+/// [`MitigationSession::run_fallible`] also execute against a [`Runner`].
 pub struct MitigationSession<S: MitigationStrategy> {
     strategy: S,
     jobs: Vec<BatchJob>,
@@ -209,11 +210,6 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     /// The strategy driving this session.
     pub fn strategy(&self) -> &S {
         &self.strategy
-    }
-
-    /// Whether the session runs a genuine two-round adaptive schedule.
-    pub fn is_adaptive(&self) -> bool {
-        self.pilot.is_some()
     }
 
     /// Rounds already absorbed.
@@ -395,11 +391,7 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     /// this round: pass [`FailureStats::default`] for a round that
     /// re-samples results already absorbed. Its `failed_jobs` is ignored;
     /// the report counts the jobs that end with no counts.
-    ///
-    /// # Errors
-    ///
-    /// As [`MitigationSession::absorb_sampled`].
-    pub fn absorb_fallible(
+    fn absorb_fallible(
         &mut self,
         spec: &RoundSpec,
         results: &[Result<RunOutput, RunError>],
@@ -502,23 +494,33 @@ impl<S: MitigationStrategy> MitigationSession<S> {
             })
     }
 
-    /// Executes the batch once through [`Runner::run_batch`], samples
-    /// every round from those outputs and recombines — the offline
-    /// convenience over the stepwise API. Each round samples exactly as
-    /// [`Runner::run_batch_sampled`] would, so the report equals a
-    /// stepwise replay that executes every round.
+    /// Samples every remaining round from one exact execution of the
+    /// batch (`outputs` in batch-jobs order) and recombines. Each round
+    /// samples exactly as [`Runner::run_batch_sampled`] would, so the
+    /// report equals a stepwise replay that executes every round.
     ///
     /// # Errors
     ///
     /// As [`MitigationSession::absorb_exact`] and
     /// [`MitigationSession::finish`].
+    pub fn finish_exact(mut self, outputs: &[RunOutput]) -> Result<S::Report, ExecError> {
+        while let Some(spec) = self.next_round() {
+            self.absorb_exact(&spec, outputs)?;
+        }
+        self.finish()
+    }
+
+    /// Executes the batch once through [`Runner::run_batch`] and hands the
+    /// outputs to [`MitigationSession::finish_exact`] — the offline
+    /// convenience over the stepwise API.
+    ///
+    /// # Errors
+    ///
+    /// As [`MitigationSession::finish_exact`].
     pub fn run<R: Runner>(mut self, runner: &R) -> Result<S::Report, ExecError> {
         self.engine_mix = runner.engine_mix(&self.jobs);
         let outputs = runner.run_batch(&self.jobs);
-        while let Some(spec) = self.next_round() {
-            self.absorb_exact(&spec, &outputs)?;
-        }
-        self.finish()
+        self.finish_exact(&outputs)
     }
 
     /// [`MitigationSession::run`] with the failure domain of
@@ -531,7 +533,7 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     ///
     /// # Errors
     ///
-    /// As [`MitigationSession::absorb_fallible`] and
+    /// As [`MitigationSession::absorb_sampled`] and
     /// [`MitigationSession::finish`].
     pub fn run_fallible<R: Runner>(
         mut self,

@@ -128,7 +128,10 @@ fn assert_recoverable_session_chaos(
     assert_reports_bit_identical(&report, &clean, "recoverable session chaos");
     assert_eq!(report.stats.total_shots, clean.stats.total_shots);
     assert_eq!(report.stats.round_shots, clean.stats.round_shots);
-    let failures = report.stats.failures.expect("fallible sessions record failures");
+    let failures = report
+        .stats
+        .failures
+        .expect("fallible sessions record failures");
     assert_eq!(failures.failed_jobs, 0, "all faults were recoverable");
 }
 

@@ -27,8 +27,8 @@ pub use pcs::{
     postselected_distribution, postselected_distribution_sampled, z_check_sandwich, PcsProgram,
 };
 pub use qspc::{
-    bloch_state_from_expectations, combine_pair_mitigated, combine_pair_unmitigated,
-    combine_single_mitigated, combine_single_unmitigated, project_to_physical, tabulate_pair,
-    tabulate_pair_sampled, tabulate_single, tabulate_single_sampled, PairEnsemble, PairEnsembleKey,
-    QspcConfig, QspcPair, QspcPairSpec, QspcSingle, QspcSingleSpec, QspcStats, SingleEnsemble,
+    bloch_state_from_expectations, combine_pair_mitigated, combine_single_mitigated,
+    project_to_physical, tabulate_pair, tabulate_pair_sampled, tabulate_single,
+    tabulate_single_sampled, PairEnsemble, PairEnsembleKey, QspcConfig, QspcPair, QspcPairSpec,
+    QspcSingle, QspcSingleSpec, QspcStats, SingleEnsemble,
 };

@@ -191,12 +191,6 @@ impl<'a> QspcSingleSpec<'a> {
         bases
     }
 
-    /// The bases an *unmitigated* propagation of `outputs` needs (term
-    /// `(I, I)` only: no sandwiching, so just the outputs themselves).
-    pub fn unmitigated_bases(outputs: &[Pauli]) -> Vec<Pauli> {
-        outputs.iter().copied().filter(|&p| p != Pauli::I).collect()
-    }
-
     /// Builds the `preps × bases` preparation-ensemble jobs (Eq. 9 programs:
     /// reduced prefix; reset; reduced segment + rotation; measure).
     pub fn ensemble(&self, bases: &[Pauli]) -> SingleEnsemble {
@@ -346,33 +340,6 @@ pub fn combine_single_mitigated(
     (out, den)
 }
 
-/// Combines a tabulated ensemble *without* checks: only the `(x, y) =
-/// (I, I)` term is evaluated (layers outside the checked window).
-///
-/// # Panics
-///
-/// Panics if `rho_in` is not 2×2.
-pub fn combine_single_unmitigated(
-    config: &QspcConfig,
-    rho_in: &Matrix,
-    outputs: &[Pauli],
-    e: &BTreeMap<(PrepState, Pauli), f64>,
-) -> BTreeMap<Pauli, f64> {
-    assert_eq!(rho_in.rows(), 2);
-    let preps = config.preps();
-    let alphas = config.decompose(rho_in);
-    let mut result = BTreeMap::new();
-    for &o in outputs {
-        let mut acc = Complex::ZERO;
-        for (si, s) in preps.iter().enumerate() {
-            let val = if o == Pauli::I { 1.0 } else { e[&(*s, o)] };
-            acc += alphas[si] * val;
-        }
-        result.insert(o, acc.re.clamp(-1.0, 1.0));
-    }
-    result
-}
-
 /// A single-qubit subsetting Pauli check over one segment.
 pub struct QspcSingle<'a, R: Runner> {
     /// The runner (plain noisy simulator or transpiling device executor).
@@ -427,30 +394,6 @@ impl<'a, R: Runner> QspcSingle<'a, R> {
         let (exps, den, stats) =
             self.mitigated_expectations(rho_in, &[Pauli::X, Pauli::Y, Pauli::Z]);
         (bloch_state_from_expectations(&exps), den, stats)
-    }
-
-    /// Propagates `rho_in` through the (noisy) segment *without* checks:
-    /// only the `(x, y) = (I, I)` term is evaluated. Used for layers outside
-    /// the checked window (Fig. 9 varies how many trailing layers are
-    /// checked).
-    pub fn unmitigated_expectations(
-        &self,
-        rho_in: &Matrix,
-        outputs: &[Pauli],
-    ) -> (BTreeMap<Pauli, f64>, QspcStats) {
-        assert_eq!(rho_in.rows(), 2);
-        let spec = self.spec();
-        let ens = spec.ensemble(&QspcSingleSpec::unmitigated_bases(outputs));
-        let (e, stats) = tabulate_single(&ens.keys, &self.exec.run_batch(&ens.jobs));
-        let result = combine_single_unmitigated(&self.config, rho_in, outputs, &e);
-        (result, stats)
-    }
-
-    /// The unmitigated single-qubit output state (see
-    /// [`QspcSingle::unmitigated_expectations`]).
-    pub fn unmitigated_state(&self, rho_in: &Matrix) -> (Matrix, QspcStats) {
-        let (exps, stats) = self.unmitigated_expectations(rho_in, &[Pauli::X, Pauli::Y, Pauli::Z]);
-        (bloch_state_from_expectations(&exps), stats)
     }
 }
 
@@ -562,27 +505,6 @@ impl<'a> QspcPairSpec<'a> {
                 if ph != Pauli::I && !needed_high.contains(&ph) {
                     needed_high.push(ph);
                 }
-            }
-        }
-        if needed_low.is_empty() {
-            needed_low.push(Pauli::Z);
-        }
-        if needed_high.is_empty() {
-            needed_high.push(Pauli::Z);
-        }
-        (needed_low, needed_high)
-    }
-
-    /// The settings an *unmitigated* propagation of `outputs` needs.
-    pub fn unmitigated_settings(outputs: &[(Pauli, Pauli)]) -> (Vec<Pauli>, Vec<Pauli>) {
-        let mut needed_low: Vec<Pauli> = Vec::new();
-        let mut needed_high: Vec<Pauli> = Vec::new();
-        for &(pl, ph) in outputs {
-            if pl != Pauli::I && !needed_low.contains(&pl) {
-                needed_low.push(pl);
-            }
-            if ph != Pauli::I && !needed_high.contains(&ph) {
-                needed_high.push(ph);
             }
         }
         if needed_low.is_empty() {
@@ -794,35 +716,6 @@ pub fn combine_pair_mitigated(
     (out, den)
 }
 
-/// Combines a tabulated pair ensemble *without* checks (term `(I, I)`
-/// only).
-///
-/// # Panics
-///
-/// Panics if `rho_in` is not 4×4.
-pub fn combine_pair_unmitigated(
-    rho_in: &Matrix,
-    outputs: &[(Pauli, Pauli)],
-    needed_low: &[Pauli],
-    needed_high: &[Pauli],
-    e: &BTreeMap<PairEnsembleKey, f64>,
-) -> BTreeMap<(Pauli, Pauli), f64> {
-    assert_eq!(rho_in.rows(), 4);
-    let alphas = decompose_two_qubit_operator(rho_in);
-    let mut result = BTreeMap::new();
-    for &(pl, ph) in outputs {
-        let mut acc = Complex::ZERO;
-        for (si, s_high) in PrepState::REDUCED.iter().enumerate() {
-            for (ti, s_low) in PrepState::REDUCED.iter().enumerate() {
-                let val = lookup_pair(e, needed_low, needed_high, *s_low, *s_high, pl, ph);
-                acc += alphas[si][ti] * val;
-            }
-        }
-        result.insert((pl, ph), acc.re.clamp(-1.0, 1.0));
-    }
-    result
-}
-
 /// A two-qubit subsetting Pauli check (simultaneous `Z_a` and `Z_b` checks)
 /// over one segment.
 pub struct QspcPair<'a, R: Runner> {
@@ -920,23 +813,6 @@ impl<'a, R: Runner> QspcPair<'a, R> {
             den,
             stats,
         )
-    }
-
-    /// Propagates `rho_in` through the noisy segment *without* checks
-    /// (term `(I, I)` only) for the requested Pauli pairs.
-    pub fn unmitigated_expectations(
-        &self,
-        rho_in: &Matrix,
-        outputs: &[(Pauli, Pauli)],
-    ) -> (BTreeMap<(Pauli, Pauli), f64>, QspcStats) {
-        assert_eq!(rho_in.rows(), 4);
-        let spec = self.spec();
-        let (needed_low, needed_high) = QspcPairSpec::unmitigated_settings(outputs);
-        // One batch over `settings × preps²`, as in the mitigated path.
-        let ens = spec.ensemble(&needed_low, &needed_high);
-        let (e, stats) = tabulate_pair(&ens.keys, &self.exec.run_batch(&ens.jobs));
-        let result = combine_pair_unmitigated(rho_in, outputs, &needed_low, &needed_high, &e);
-        (result, stats)
     }
 }
 

@@ -180,9 +180,10 @@ impl ServiceClient {
     }
 
     /// Submits a circuit as a finite-shot mitigation session under
-    /// `policy`, returning the job id. The server runs every session
-    /// round through its batcher and cache; the served report is
-    /// bit-identical to running the same session offline.
+    /// `policy`, returning the job id. The server executes the session's
+    /// jobs once through its batcher and cache and samples every round
+    /// from them; the served report is bit-identical to running the same
+    /// session offline.
     ///
     /// # Errors
     ///

@@ -112,23 +112,6 @@ impl<T> BoundedQueue<T> {
         Some(state.items.drain(..take).collect())
     }
 
-    /// Re-enqueues an item the consumer already admitted once — the next
-    /// round of a multi-round session going back through the batcher.
-    /// Bypasses the capacity bound (the item is not *new* load; rejecting
-    /// it would strand a half-finished session) but still respects
-    /// closure, so a drain-shutdown fails pending rounds typed instead of
-    /// queueing work nobody will drain.
-    pub fn requeue(&self, item: T) -> Result<(), PushError> {
-        let mut state = self.state.lock_recover();
-        if state.closed {
-            return Err(PushError::Closed);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.cv.notify_one();
-        Ok(())
-    }
-
     /// Closes the queue: future pushes fail with [`PushError::Closed`] and
     /// the consumer drains whatever remains, then sees `None`.
     pub fn close(&self) {
@@ -194,19 +177,6 @@ mod tests {
         let batch = q.drain(4, Duration::from_secs(30)).unwrap();
         assert_eq!(batch.len(), 4);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn requeue_bypasses_capacity_but_respects_closure() {
-        let q = BoundedQueue::new(1);
-        q.try_push(1).unwrap();
-        assert_eq!(q.try_push(2), Err(PushError::Full));
-        // A session round going back through the batcher is not new load.
-        assert_eq!(q.requeue(2), Ok(()));
-        assert_eq!(q.len(), 2);
-        q.close();
-        assert_eq!(q.requeue(3), Err(PushError::Closed));
-        assert_eq!(q.drain(4, Duration::from_millis(1)), Some(vec![1, 2]));
     }
 
     #[test]

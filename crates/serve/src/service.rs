@@ -15,13 +15,15 @@
 //!                       │            (trie merges shared prefixes
 //!                       │             across unrelated requests)
 //!                       ▼
-//!      scatter per request ─▶ artifacts_from_outputs ─▶ recombine
+//!      scatter per request ─▶ exact:   artifacts_from_outputs ─▶ recombine
+//!                             session: finish_exact (samples every round)
 //! ```
 //!
-//! Every served report is bit-identical to a one-shot
-//! `run_qutracer` call with the same runner: plan-order jobs, trie
-//! execution and cache hits are all exact — the end-to-end tests assert
-//! this with `f64::to_bits` equality through the wire format.
+//! Every request finishes in the batch that executed its jobs. An exact
+//! report is bit-identical to a one-shot `run_qutracer` call with the
+//! same runner, a sampled one to `MitigationPlan::run_sampled`: plan-order
+//! jobs, trie execution and cache hits are all exact — the end-to-end
+//! tests assert this with `f64::to_bits` equality through the wire format.
 //!
 //! # Failure domain
 //!
@@ -221,10 +223,10 @@ struct Ticket {
 enum Work {
     /// An exact single-pass request (the original `submit` surface).
     Exact(Box<MitigationPlan>),
-    /// A finite-shot mitigation session: each pending round re-enters the
-    /// queue, executes through the same cross-request batcher and cache as
-    /// exact work, and the session samples counts from the exact outputs
-    /// ([`MitigationSession::absorb_exact`]) — bit-identical to running
+    /// A finite-shot mitigation session: its jobs execute once through
+    /// the same cross-request batcher and cache as exact work, and the
+    /// session samples every round from those exact outputs
+    /// ([`MitigationSession::finish_exact`]) — bit-identical to running
     /// the session offline against the same runner.
     Session(Box<MitigationSession<MitigationPlan>>),
 }
@@ -243,6 +245,24 @@ impl Work {
         match self {
             Work::Exact(plan) => plan.view(),
             Work::Session(session) => session.strategy().view(),
+        }
+    }
+
+    /// The request's report from its batch jobs' exact outputs (in
+    /// [`Work::batch_jobs`] order) and the runner's engine mix.
+    fn complete(
+        self,
+        outputs: Vec<RunOutput>,
+        engine_mix: Option<Vec<(String, usize)>>,
+    ) -> Result<QuTracerReport, ExecError> {
+        match self {
+            Work::Exact(plan) => plan
+                .artifacts_from_outputs(outputs, engine_mix)?
+                .recombine(),
+            Work::Session(mut session) => {
+                session.set_engine_mix(engine_mix);
+                session.finish_exact(&outputs)
+            }
         }
     }
 }
@@ -365,9 +385,10 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     }
 
     /// Plans `circuit` and admits it as a finite-shot mitigation session
-    /// under `policy` with `total_shots` and sampling seed `seed`. Each
-    /// round of the session (two for a genuinely adaptive policy) runs
-    /// through the shared batcher and result cache; the served report is
+    /// under `policy` with `total_shots` and sampling seed `seed`. The
+    /// session's jobs execute once through the shared batcher and result
+    /// cache, and every round (two for a genuinely adaptive policy)
+    /// samples that execution in the same batch pass; the served report is
     /// bit-identical to [`MitigationPlan::run_sampled`] offline against
     /// the same runner.
     ///
@@ -687,10 +708,8 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
             }
         }
 
-        // Scatter back per request and recombine each plan independently.
-        // A session with rounds left is collected for requeueing instead
-        // of resolving; everything else reaches a terminal state here.
-        let mut requeues: Vec<Ticket> = Vec::new();
+        // Scatter back per request and complete each one independently:
+        // every request, exact or sampled, reaches a terminal state here.
         let mut jobs = self.jobs.lock_recover();
         for ((ticket, slots), own_jobs) in live.into_iter().zip(&request_slots).zip(&per_request) {
             let id = ticket.id;
@@ -715,62 +734,16 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
                     })),
                 })
                 .collect();
-            match ticket.work {
-                Work::Exact(plan) => {
-                    let outcome = gathered.and_then(|outputs| {
-                        let engine_mix = self.runner.engine_mix(own_jobs);
-                        plan.artifacts_from_outputs(outputs, engine_mix)
-                            .and_then(|artifacts| artifacts.recombine())
-                            .map_err(ServiceError::Exec)
-                    });
-                    jobs.finish(id, outcome_state(outcome));
-                }
-                Work::Session(mut session) => {
-                    let absorbed = gathered.and_then(|outputs| {
-                        if session.rounds_completed() == 0 {
-                            session.set_engine_mix(self.runner.engine_mix(own_jobs));
-                        }
-                        let spec = session
-                            .next_round()
-                            .expect("an admitted session ticket has a pending round");
-                        session
-                            .absorb_exact(&spec, &outputs)
-                            .map_err(ServiceError::Exec)
-                    });
-                    match absorbed {
-                        Err(e) => jobs.finish(id, JobState::Failed(e)),
-                        Ok(()) if session.next_round().is_some() => {
-                            // Still Running: the next round re-enters the
-                            // queue below, outside the registry lock. An
-                            // adaptive final round resubmits the same jobs,
-                            // so it is served from the result cache.
-                            requeues.push(Ticket {
-                                id,
-                                work: Work::Session(session),
-                            });
-                        }
-                        Ok(()) => {
-                            let outcome = session.finish().map_err(ServiceError::Exec);
-                            jobs.finish(id, outcome_state(outcome));
-                        }
-                    }
-                }
-            }
+            let outcome = gathered.and_then(|outputs| {
+                let engine_mix = self.runner.engine_mix(own_jobs);
+                ticket
+                    .work
+                    .complete(outputs, engine_mix)
+                    .map_err(ServiceError::Exec)
+            });
+            jobs.finish(id, outcome_state(outcome));
         }
         drop(jobs);
         self.done_cv.notify_all();
-        // Pending session rounds go back through admission (bypassing the
-        // capacity bound — they are not new load). A closed queue means a
-        // drain-shutdown landed mid-session: resolve the job typed so no
-        // waiter hangs.
-        for ticket in requeues {
-            let id = ticket.id;
-            if self.queue.requeue(ticket).is_err() {
-                self.jobs
-                    .lock_recover()
-                    .finish(id, JobState::Failed(ServiceError::ShuttingDown));
-                self.done_cv.notify_all();
-            }
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! one.
 
 use qt_algos::{qaoa_maxcut, ring_graph, vqe_ansatz, QaoaParams};
-use qt_core::{run_qutracer, JobKind, QuTracer, QuTracerConfig, QuTracerReport};
+use qt_core::{run_qutracer, JobKind, QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy};
 use qt_dist::Distribution;
 use qt_serve::http::{read_message, response_status, write_request};
 use qt_serve::{serve, ClientError, ServiceClient, ServiceConfig};
@@ -156,8 +156,9 @@ fn panic_in_one_request_never_fails_cohabiting_healthy_request() {
 }
 
 /// Transient chaos recovered inside the service's retry budget is
-/// invisible in the data: every served report is bit-identical to the
-/// fault-free run, and only the failure counters betray the retries.
+/// invisible in the data: every served report, exact or sampled, is
+/// bit-identical to the fault-free run, and only the failure counters
+/// betray the retries.
 #[test]
 fn transient_chaos_recovers_into_bit_identical_reports() {
     let n = 4;
@@ -185,18 +186,37 @@ fn transient_chaos_recovers_into_bit_identical_reports() {
     let server = serve("127.0.0.1:0", chaos, service_cfg).expect("bind");
     let client = ServiceClient::new(server.addr());
 
+    let policy = ShotPolicy::Adaptive {
+        pilot_fraction: 0.5,
+    };
+    let (total, seed) = (20_000u64, 5u64);
     for circuit in &circuits {
+        // An exact request and an adaptive session of the same circuit,
+        // submitted side by side.
         let job = client.submit(circuit, &measured, &cfg).expect("submit");
+        let session = client
+            .submit_sampled(circuit, &measured, &cfg, total, &policy, seed)
+            .expect("submit session");
         let served = client
             .wait_result(job, Duration::from_secs(120))
             .expect("chaos within the retry budget must still serve");
         let local = run_qutracer(&runner(), circuit, &measured, &cfg);
         assert_report_identical(&served, &local);
+
+        let served = client
+            .wait_result(session, Duration::from_secs(120))
+            .expect("chaos within the retry budget must still serve the session");
+        let local = QuTracer::plan(circuit, &measured, &cfg)
+            .expect("plannable")
+            .run_sampled(&runner(), total as usize, policy, seed)
+            .expect("fault-free session");
+        assert_report_identical(&served, &local);
+        assert_eq!(served.stats.round_shots, local.stats.round_shots);
     }
 
     let stats = server.service().stats();
     server.shutdown();
-    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.completed, 4);
     assert_eq!(stats.failed, 0);
 }
 

@@ -1,7 +1,7 @@
 //! The job registry keeps the newest 1024 finished jobs: older finished
 //! ids answer a typed 404 on `/status` and `/result`, retained ids keep
-//! serving bit-identical reports, and queued or running jobs are never
-//! evicted however many others finish around them.
+//! serving bit-identical reports, and queued jobs are never evicted
+//! however many others finish around them.
 
 use qt_circuit::Circuit;
 use qt_core::{run_qutracer, QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy};
@@ -88,12 +88,22 @@ fn oldest_finished_jobs_are_evicted_and_in_flight_jobs_survive() {
         .collect();
     let queued = service.submit(&circuit(1), &MEASURED, &cfg).unwrap();
 
-    // The session's pilot round runs and requeues it behind everything.
+    // The session finishes both rounds in its one batch, bit-identical to
+    // an offline run; checked before the finishing jobs evict it.
     assert!(service.process_next_batch());
+    let served = service.result(session).unwrap().expect("session done");
+    let local = QuTracer::plan(&circuit(0), &MEASURED, &cfg)
+        .unwrap()
+        .run_sampled(&runner(), 20_000, policy, 3)
+        .unwrap();
+    assert_eq!(wire(&served), wire(&local));
     for _ in &ids {
         assert!(service.process_next_batch());
     }
-    assert!(matches!(service.status(session), Ok(JobState::Running(_))));
+    assert_eq!(
+        service.status(session).unwrap_err(),
+        ServiceError::NotFound { job: session }
+    );
     assert!(matches!(service.status(queued), Ok(JobState::Queued(_))));
 
     let offline = offline_reports();
@@ -117,25 +127,16 @@ fn oldest_finished_jobs_are_evicted_and_in_flight_jobs_survive() {
         }
     }
 
-    // Both in-flight jobs still finish, bit-identical to offline runs.
+    // The queued job still finishes, bit-identical to an offline run.
     assert!(service.process_next_batch());
-    assert!(service.process_next_batch());
-    let served = service.result(session).unwrap().expect("session done");
-    let local = QuTracer::plan(&circuit(0), &MEASURED, &cfg)
-        .unwrap()
-        .run_sampled(&runner(), 20_000, policy, 3)
-        .unwrap();
-    assert_eq!(wire(&served), wire(&local));
     let served = service.result(queued).unwrap().expect("queued job done");
     assert_eq!(wire(&served), offline[1]);
-    // Their completions pushed the next two oldest out.
-    for &id in &ids[EXTRA..EXTRA + 2] {
-        assert_eq!(
-            service.status(id).unwrap_err(),
-            ServiceError::NotFound { job: id }
-        );
-    }
-    assert!(service.status(ids[EXTRA + 2]).is_ok());
+    // Its completion pushed the next oldest out.
+    assert_eq!(
+        service.status(ids[EXTRA]).unwrap_err(),
+        ServiceError::NotFound { job: ids[EXTRA] }
+    );
+    assert!(service.status(ids[EXTRA + 1]).is_ok());
     assert_eq!(service.stats().completed, (RETAINED + EXTRA + 2) as u64);
     service.shutdown();
 }

@@ -196,80 +196,103 @@ fn plan_errors_are_rejected_at_submission() {
 /// Shutdown landing mid-batch: the in-flight request completes with a
 /// report bit-identical to a fault-free run, the still-queued request
 /// fails with a typed `ShuttingDown`, and `wait_result` never hangs on
-/// either — the drain-shutdown contract.
+/// either — the drain-shutdown contract. The in-flight request is an
+/// exact one, then a two-round adaptive session: a session finishes in
+/// the batch that executes its jobs, so both of its rounds complete.
 #[test]
 fn shutdown_mid_batch_completes_in_flight_and_fails_queued_typed() {
     let edges = ring_graph(3);
     let circuit = qaoa_maxcut(3, &edges, &QaoaParams::seeded(5, 1));
     let measured = [0, 1, 2];
     let cfg = QuTracerConfig::single();
+    let policy = ShotPolicy::Adaptive {
+        pilot_fraction: 0.5,
+    };
+    let (total, seed) = (20_000usize, 9u64);
 
-    // Latency-only chaos: every batch stalls ~300 ms inside the runner,
-    // giving shutdown a wide window to land while job A is in flight.
-    // Latency never changes results, so A must still be bit-identical.
-    let chaos = ChaosRunner::new(
-        runner(),
-        ChaosConfig {
-            seed: 11,
-            latency_rate: 1.0,
-            latency_millis: 300,
-            ..ChaosConfig::default()
-        },
-    );
-    let service = MitigationService::new(
-        chaos,
-        ServiceConfig {
-            batch_max_requests: 1,
-            batch_deadline: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
-    );
-    let batcher = service.spawn_batcher();
-
-    let job_a = service.submit(&circuit, &measured, &cfg).expect("submit A");
-    // Wait until the batcher has picked A up — from then on it is
-    // in-flight work that shutdown must let finish.
-    let pickup = Instant::now();
-    while !matches!(
-        service.status(job_a),
-        Ok(JobState::Running(_) | JobState::Done(_))
-    ) {
-        assert!(
-            pickup.elapsed() < Duration::from_secs(30),
-            "job A was never picked up"
+    for sampled in [false, true] {
+        // Latency-only chaos: every batch stalls ~300 ms inside the
+        // runner, giving shutdown a wide window to land while job A is in
+        // flight. Latency never changes results, so A must still be
+        // bit-identical.
+        let chaos = ChaosRunner::new(
+            runner(),
+            ChaosConfig {
+                seed: 11,
+                latency_rate: 1.0,
+                latency_millis: 300,
+                ..ChaosConfig::default()
+            },
         );
-        std::thread::sleep(Duration::from_micros(200));
+        let service = MitigationService::new(
+            chaos,
+            ServiceConfig {
+                batch_max_requests: 1,
+                batch_deadline: Duration::from_millis(1),
+                ..ServiceConfig::default()
+            },
+        );
+        let batcher = service.spawn_batcher();
+
+        let job_a = if sampled {
+            service.submit_sampled(&circuit, &measured, &cfg, total, policy, seed)
+        } else {
+            service.submit(&circuit, &measured, &cfg)
+        }
+        .expect("submit A");
+        // Wait until the batcher has picked A up — from then on it is
+        // in-flight work that shutdown must let finish.
+        let pickup = Instant::now();
+        while !matches!(
+            service.status(job_a),
+            Ok(JobState::Running(_) | JobState::Done(_))
+        ) {
+            assert!(
+                pickup.elapsed() < Duration::from_secs(30),
+                "job A was never picked up"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+
+        let job_b = service.submit(&circuit, &measured, &cfg).expect("submit B");
+        service.shutdown();
+
+        // B was still queued: typed ShuttingDown, delivered without a hang.
+        match service.wait_result(job_b, Duration::from_secs(30)) {
+            Err(ServiceError::ShuttingDown) => {}
+            other => panic!("queued job B should fail ShuttingDown, got {other:?}"),
+        }
+        // A was in flight: it completes, and the report is exact.
+        let served = service
+            .wait_result(job_a, Duration::from_secs(120))
+            .unwrap_or_else(|e| {
+                panic!("in-flight job A (sampled: {sampled}) must complete across shutdown: {e:?}")
+            });
+        let local = if sampled {
+            QuTracer::plan(&circuit, &measured, &cfg)
+                .unwrap()
+                .run_sampled(&runner(), total, policy, seed)
+                .unwrap()
+        } else {
+            run_qutracer(&runner(), &circuit, &measured, &cfg)
+        };
+        assert_report_identical(&served, &local);
+        assert_eq!(served.stats.round_shots, local.stats.round_shots);
+
+        batcher
+            .join()
+            .expect("batcher exits cleanly after the drain");
+        let stats = service.stats();
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.failed, 1);
     }
-
-    let job_b = service.submit(&circuit, &measured, &cfg).expect("submit B");
-    service.shutdown();
-
-    // B was still queued: typed ShuttingDown, delivered without a hang.
-    match service.wait_result(job_b, Duration::from_secs(30)) {
-        Err(ServiceError::ShuttingDown) => {}
-        other => panic!("queued job B should fail ShuttingDown, got {other:?}"),
-    }
-    // A was in flight: it completes, and the report is exact.
-    let served = service
-        .wait_result(job_a, Duration::from_secs(120))
-        .expect("in-flight job A must complete across shutdown");
-    let local = run_qutracer(&runner(), &circuit, &measured, &cfg);
-    assert_report_identical(&served, &local);
-
-    batcher
-        .join()
-        .expect("batcher exits cleanly after the drain");
-    let stats = service.stats();
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.failed, 1);
 }
 
 /// An adaptive two-round session served over HTTP must be bit-identical
-/// to the same session run offline: the service executes the pilot
-/// through its batcher, requeues the final round (served from the result
-/// cache — same jobs), and the recombined report matches
-/// `MitigationPlan::run_sampled` to the last bit, including the per-round
-/// shot accounting on the wire.
+/// to the same session run offline, including the per-round shot
+/// accounting on the wire. The service executes the session's jobs once
+/// and samples both rounds from them in the same batch pass — with the
+/// result cache on or off.
 #[test]
 fn adaptive_session_is_served_bit_identical_to_offline() {
     let edges = ring_graph(4);
@@ -281,30 +304,39 @@ fn adaptive_session_is_served_bit_identical_to_offline() {
     };
     let total = 40_000u64;
     let seed = 7u64;
-
-    let server = serve("127.0.0.1:0", runner(), ServiceConfig::default()).expect("bind");
-    let client = ServiceClient::new(server.addr());
-    let job = client
-        .submit_sampled(&circuit, &measured, &cfg, total, &policy, seed)
-        .expect("submit session");
-    let served = client.wait_result(job, Duration::from_secs(120)).unwrap();
-    let cache = server.service().cache_stats();
-    server.shutdown();
-
     let plan = QuTracer::plan(&circuit, &measured, &cfg).unwrap();
     let local = plan
         .run_sampled(&runner(), total as usize, policy, seed)
         .unwrap();
 
-    assert_report_identical(&served, &local);
-    assert_eq!(served.stats.total_shots, local.stats.total_shots);
-    assert_eq!(served.stats.round_shots, local.stats.round_shots);
-    let rounds = served.stats.round_shots.as_ref().expect("round accounting");
-    assert_eq!(rounds.len(), 2, "session must be genuinely two-round");
-    assert_eq!(rounds.iter().sum::<u64>(), total);
-    // The adaptive final round resubmits the same jobs, so it is served
-    // entirely from the result cache.
-    assert!(cache.hits > 0, "final round produced no cache hits");
+    for cache_bytes in [ServiceConfig::default().cache_bytes, 0] {
+        let service_cfg = ServiceConfig {
+            cache_bytes,
+            ..ServiceConfig::default()
+        };
+        let server = serve("127.0.0.1:0", runner(), service_cfg).expect("bind");
+        let client = ServiceClient::new(server.addr());
+        let job = client
+            .submit_sampled(&circuit, &measured, &cfg, total, &policy, seed)
+            .expect("submit session");
+        let served = client.wait_result(job, Duration::from_secs(120)).unwrap();
+        let stats = server.service().stats();
+        server.shutdown();
+
+        assert_report_identical(&served, &local);
+        assert_eq!(served.stats.total_shots, local.stats.total_shots);
+        assert_eq!(served.stats.round_shots, local.stats.round_shots);
+        let rounds = served.stats.round_shots.as_ref().expect("round accounting");
+        assert_eq!(rounds.len(), 2, "session must be genuinely two-round");
+        assert_eq!(rounds.iter().sum::<u64>(), total);
+        // Both rounds sample one execution: one batch, each job once.
+        assert_eq!(stats.batches, 1, "cache_bytes {cache_bytes}: {stats:?}");
+        assert_eq!(
+            stats.executed_jobs,
+            plan.batch_jobs().len() as u64,
+            "cache_bytes {cache_bytes}: {stats:?}"
+        );
+    }
 }
 
 /// A sampled session with an unfundable budget (or malformed policy) is
