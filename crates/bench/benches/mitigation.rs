@@ -5,8 +5,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use qt_circuit::Circuit;
 use qt_core::{run_qutracer, trace_single, QuTracerConfig, TraceConfig};
 use qt_dist::{hellinger_fidelity, recombine, Distribution};
-use qt_pcs::{QspcConfig, QspcSingle};
-use qt_sim::{Backend, Executor, NoiseModel};
+use qt_math::Pauli;
+use qt_pcs::{combine_single_mitigated, tabulate_single, QspcConfig, QspcSingleSpec};
+use qt_sim::{Backend, Executor, NoiseModel, Runner};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 
 fn vqe_pieces(n: usize) -> (Circuit, Circuit) {
@@ -24,6 +26,19 @@ fn vqe_pieces(n: usize) -> (Circuit, Circuit) {
     (prefix, segment)
 }
 
+/// One single-qubit check of `⟨Z⟩` in plan form: build the ensemble,
+/// execute it as one batch, tabulate and combine.
+fn single_check(
+    exec: &Executor,
+    spec: &QspcSingleSpec,
+    rho_in: &qt_math::Matrix,
+) -> (BTreeMap<Pauli, f64>, f64) {
+    let outputs = [Pauli::Z];
+    let ens = spec.ensemble(&spec.mitigated_bases(&outputs));
+    let (e, _) = tabulate_single(&ens.keys, &exec.run_batch(&ens.jobs));
+    combine_single_mitigated(&spec.config, rho_in, &outputs, &e)
+}
+
 fn bench_qspc(c: &mut Criterion) {
     let mut group = c.benchmark_group("qspc");
     group.sample_size(10);
@@ -34,14 +49,13 @@ fn bench_qspc(c: &mut Criterion) {
     let (prefix, segment) = vqe_pieces(6);
     let rho_in = qt_math::states::PrepState::Plus.projector();
     group.bench_function("single_check_6q", |b| {
-        let q = QspcSingle {
-            exec: &exec,
+        let spec = QspcSingleSpec {
             qubit: 0,
             prefix: &prefix,
             segment: &segment,
             config: QspcConfig::default(),
         };
-        b.iter(|| black_box(q.mitigated_expectations(&rho_in, &[qt_math::Pauli::Z])))
+        b.iter(|| black_box(single_check(&exec, &spec, &rho_in)))
     });
     group.bench_function("trace_single_6q", |b| {
         let circ = qt_algos::vqe_ansatz(6, 1, 3);

@@ -296,18 +296,37 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// The no-sharing baseline of the `batch` and `shots` groups: one
+/// `Runner::run` per job, whole jobs fanned out over scoped threads under
+/// `batch_split` (the density-matrix engine takes no thread budget, so
+/// each job runs on its worker alone).
+struct PerJob(Executor);
+
+impl qt_sim::Runner for PerJob {
+    fn run(&self, program: &Program, measured: &[usize]) -> qt_sim::RunOutput {
+        self.0.run(program, measured)
+    }
+
+    fn run_batch(&self, jobs: &[qt_sim::BatchJob]) -> Vec<qt_sim::RunOutput> {
+        let (workers, _) = qt_sim::backend::batch_split(jobs.len());
+        qt_sim::backend::parallel_indexed(jobs.len(), workers, |i| {
+            self.0.run(&jobs[i].program, &jobs[i].measured)
+        })
+    }
+}
+
 /// Trie-scheduled vs per-job batch execution on the 5-layer QAOA-6
 /// pipeline workload (the deduplicated programs of the symmetric-pairs
 /// plan; multi-layer QAOA is the paper's Table I sweep, and its
 /// late-segment ensembles carry the long shared prefixes the trie
 /// exploits) — the headline rows of `BENCH_batch.json`, with the batch
-/// size embedded in the row names. The `perjob` row is PR 3's
-/// `batched_dedup` execution path on the identical batch. The bench
-/// asserts the two paths produce bit-identical outputs before timing
+/// size embedded in the row names. The `trie` row is `Executor::run_batch`;
+/// the `perjob` row is the [`PerJob`] baseline on the identical batch. The
+/// bench asserts the two paths produce bit-identical outputs before timing
 /// anything, so CI fails if the trie path stops being output-equivalent.
 fn bench_batch_execution(c: &mut Criterion) {
     use qt_core::{QuTracer, QuTracerConfig};
-    use qt_sim::{BatchJob, BatchPolicy, Runner};
+    use qt_sim::{BatchJob, Runner};
 
     let mut group = c.benchmark_group("batch");
     group.sample_size(10);
@@ -323,10 +342,8 @@ fn bench_batch_execution(c: &mut Criterion) {
     let jobs: Vec<BatchJob> = plan.programs().map(|(j, _)| j.clone()).collect();
     let k = jobs.len();
     let noise = NoiseModel::depolarizing(0.002, 0.02).with_readout(0.03);
-    let trie = Executor::with_backend(noise.clone(), qt_sim::Backend::DensityMatrix);
-    let perjob = Executor::with_backend(noise, qt_sim::Backend::DensityMatrix)
-        .with_batch_policy(BatchPolicy::PerJob)
-        .expect("per-job policy is always valid");
+    let trie = Executor::with_backend(noise, qt_sim::Backend::DensityMatrix);
+    let perjob = PerJob(trie.clone());
     assert_eq!(
         trie.run_batch(&jobs),
         perjob.run_batch(&jobs),
@@ -344,14 +361,15 @@ fn bench_batch_execution(c: &mut Criterion) {
 /// Finite-shot batch execution: trie-integrated sampling (terminal
 /// distributions from the prefix-sharing trie walk, then per-job
 /// multinomial draws) vs naive per-job sampling (every job simulated
-/// independently before sampling) on the 5-layer QAOA-6 pipeline workload
-/// — the headline rows of `BENCH_shots.json`, with the batch size and
-/// per-job shot count embedded in the row names. The bench asserts the
-/// two paths produce bit-identical counts before timing anything, so CI
-/// failing here can mean a determinism regression, not just a slow run.
+/// independently by the [`PerJob`] baseline before sampling) on the
+/// 5-layer QAOA-6 pipeline workload — the headline rows of
+/// `BENCH_shots.json`, with the batch size and per-job shot count embedded
+/// in the row names. The bench asserts the two paths produce bit-identical
+/// counts before timing anything, so CI failing here can mean a
+/// determinism regression, not just a slow run.
 fn bench_sampled_execution(c: &mut Criterion) {
     use qt_core::{QuTracer, QuTracerConfig};
-    use qt_sim::{BatchJob, BatchPolicy, Runner, ShotPlan};
+    use qt_sim::{BatchJob, Runner, ShotPlan};
 
     let mut group = c.benchmark_group("shots");
     group.sample_size(10);
@@ -369,10 +387,8 @@ fn bench_sampled_execution(c: &mut Criterion) {
     let shots_each = 4096;
     let shot_plan = ShotPlan::uniform(k, shots_each);
     let noise = NoiseModel::depolarizing(0.002, 0.02).with_readout(0.03);
-    let trie = Executor::with_backend(noise.clone(), qt_sim::Backend::DensityMatrix);
-    let perjob = Executor::with_backend(noise, qt_sim::Backend::DensityMatrix)
-        .with_batch_policy(BatchPolicy::PerJob)
-        .expect("per-job policy is always valid");
+    let trie = Executor::with_backend(noise, qt_sim::Backend::DensityMatrix);
+    let perjob = PerJob(trie.clone());
     assert_eq!(
         trie.run_batch_sampled(&jobs, &shot_plan, 11),
         perjob.run_batch_sampled(&jobs, &shot_plan, 11),

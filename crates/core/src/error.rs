@@ -23,6 +23,15 @@ pub enum PlanError {
         /// The requested subset size.
         size: usize,
     },
+    /// A measured qubit lies outside the circuit's register
+    /// (`qubit >= n_qubits`) or is listed more than once
+    /// (`qubit < n_qubits`).
+    InvalidMeasured {
+        /// The offending measured qubit.
+        qubit: usize,
+        /// The circuit's register size.
+        n_qubits: usize,
+    },
     /// Pair tracing needs at least two measured qubits.
     MeasuredTooSmall {
         /// Qubits the configuration needs.
@@ -52,6 +61,15 @@ impl std::fmt::Display for PlanError {
         match self {
             PlanError::UnsupportedSubsetSize { size } => {
                 write!(f, "subset size must be 1 or 2, got {size}")
+            }
+            PlanError::InvalidMeasured { qubit, n_qubits } if qubit >= n_qubits => {
+                write!(
+                    f,
+                    "measured qubit {qubit} is outside the {n_qubits}-qubit register"
+                )
+            }
+            PlanError::InvalidMeasured { qubit, .. } => {
+                write!(f, "measured qubit {qubit} is listed more than once")
             }
             PlanError::MeasuredTooSmall { needed, got } => {
                 write!(f, "need at least {needed} measured qubits, got {got}")

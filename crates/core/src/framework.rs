@@ -129,9 +129,10 @@ pub(crate) fn enumerate_subset_positions(
 ///
 /// # Panics
 ///
-/// Panics on configuration errors (subset size outside `{1, 2}`, pair
-/// tracing with fewer than two measured qubits) — use
-/// [`QuTracer::plan`] directly for typed [`PlanError`]s.
+/// Panics on configuration errors (subset size outside `{1, 2}`, a
+/// measured qubit outside the register or listed twice, pair tracing with
+/// fewer than two measured qubits) — use [`QuTracer::plan`] directly for
+/// typed [`PlanError`](crate::PlanError)s.
 pub fn run_qutracer<R: Runner>(
     runner: &R,
     circuit: &Circuit,

@@ -5,7 +5,7 @@
 //! 1. **Analysis & circuit preparation** — [`QuTracer::plan`] performs all
 //!    classical work up front (subset enumeration, segmentation, traceback,
 //!    ensemble-circuit generation) and yields an inspectable
-//!    [`MitigationPlan`] holding every [`Program`](qt_sim::Program) the run
+//!    [`MitigationPlan`] holding every [`Program`] the run
 //!    will need, tagged by (subset, segment, preparation, check basis).
 //! 2. **Execution** — [`MitigationPlan::execute`] flattens *all* programs
 //!    across *all* subsets into one deduplicated
@@ -217,8 +217,9 @@ impl QuTracer {
     /// # Errors
     ///
     /// [`PlanError::UnsupportedSubsetSize`] for subset sizes outside
-    /// `{1, 2}`; [`PlanError::MeasuredTooSmall`] when pair tracing has
-    /// fewer than two measured qubits.
+    /// `{1, 2}`; [`PlanError::InvalidMeasured`] for a measured qubit
+    /// outside the register or listed twice; [`PlanError::MeasuredTooSmall`]
+    /// when pair tracing has fewer than two measured qubits.
     pub fn plan(
         circuit: &Circuit,
         measured: &[usize],
@@ -228,6 +229,14 @@ impl QuTracer {
             return Err(PlanError::UnsupportedSubsetSize {
                 size: config.subset_size,
             });
+        }
+        let n_qubits = circuit.n_qubits();
+        let mut seen = vec![false; n_qubits];
+        for &qubit in measured {
+            if qubit >= n_qubits || seen[qubit] {
+                return Err(PlanError::InvalidMeasured { qubit, n_qubits });
+            }
+            seen[qubit] = true;
         }
         if config.subset_size == 2 && measured.len() < 2 {
             return Err(PlanError::MeasuredTooSmall {

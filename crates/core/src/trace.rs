@@ -25,13 +25,13 @@
 //! The programs a walk requests are a *static* function of the circuit
 //! analysis — measurement results feed only the classical combination, never
 //! the choice of what to run next. The walk is therefore written against a
-//! [`TracePort`] with three interchangeable backends:
+//! `TracePort` with three interchangeable backends:
 //!
-//! * [`LivePort`] submits each request to a [`Runner`] immediately (the
+//! * `LivePort` submits each request to a [`Runner`] immediately (the
 //!   classic serial behaviour of [`trace_single`]/[`trace_pair`]);
-//! * [`CollectPort`] records every requested program, tagged by
+//! * `CollectPort` records every requested program, tagged by
 //!   (subset, segment, preparation, basis) — stage 1 of the pipeline;
-//! * [`ReplayPort`] feeds previously executed results back through the
+//! * `ReplayPort` feeds previously executed results back through the
 //!   identical walk — stage 3 (recombination).
 //!
 //! All three traverse byte-identical job streams, which is what makes the

@@ -1,8 +1,9 @@
 //! Adaptive-session properties: the two-round pilot/Neyman schedule of
 //! `ShotPolicy::Adaptive` must collapse to the single-round uniform
 //! pipeline at the degenerate pilot fractions (bit-for-bit), produce the
-//! same schedule and report regardless of seed replay, batch policy or
-//! thread budget, execute its batch once and still equal a replay that
+//! same schedule and report regardless of seed replay or how the batch is
+//! executed (trie sharing or a serial per-job loop), execute its batch
+//! once and still equal a replay that
 //! executes every round, converge to the uniform allocation when every
 //! program has the same sampling dispersion, reject malformed rounds
 //! typed, and degrade typed — never panic — when chaos hits the pilot
@@ -17,8 +18,8 @@ use qt_core::{
 };
 use qt_dist::{Counts, Distribution};
 use qt_sim::{
-    Backend, BatchJob, BatchPolicy, ChaosConfig, ChaosRunner, Executor, NoiseModel, Program,
-    RunOutput, Runner, ShotPlan,
+    Backend, BatchJob, ChaosConfig, ChaosRunner, Executor, NoiseModel, Program, RunOutput, Runner,
+    ShotPlan,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -82,6 +83,20 @@ impl Runner for CountingRunner {
     }
 }
 
+/// Forwards only `run` and `engine_mix`, so a batch takes the trait's
+/// default serial loop: one `run` per job, no trie, no subtree fan-out.
+struct SerialRunner(Executor);
+
+impl Runner for SerialRunner {
+    fn run(&self, program: &Program, measured: &[usize]) -> RunOutput {
+        self.0.run(program, measured)
+    }
+
+    fn engine_mix(&self, jobs: &[BatchJob]) -> Option<Vec<(String, usize)>> {
+        self.0.engine_mix(jobs)
+    }
+}
+
 /// Every recorded bit of two reports: refined, global and local
 /// distributions bitwise, and the overhead statistics (shot totals and the
 /// per-round ledger included).
@@ -141,10 +156,10 @@ proptest! {
 
     /// The adaptive schedule is a pure function of (plan, budget, seed):
     /// replaying the same seed reproduces the report bit-for-bit, and so
-    /// does changing how the batch is *executed* — per-job fan-out versus
-    /// trie sharing, full thread budget versus a single worker. Execution
-    /// strategy must never leak into the pilot dispersions or the Neyman
-    /// split.
+    /// does changing how the batch is *executed* — the executor's trie
+    /// walk with its subtree fan-out versus a serial loop of one `run` per
+    /// job. Execution strategy must never leak into the pilot dispersions
+    /// or the Neyman split.
     #[test]
     fn adaptive_schedule_is_seed_stable_and_thread_invariant(
         (circ, measured, cfg) in arb_workload(),
@@ -171,24 +186,11 @@ proptest! {
         assert_reports_bit_identical(&replay, &baseline, "seed replay");
         prop_assert_eq!(replay.stats.round_shots.as_deref(), Some(rounds.as_slice()));
 
-        let per_job = executor()
-            .with_batch_policy(BatchPolicy::PerJob)
-            .expect("per-job policy is always valid");
-        let via_per_job = plan
-            .run_sampled(&per_job, total, policy, seed)
-            .expect("adaptive run under per-job batching");
-        assert_reports_bit_identical(&via_per_job, &baseline, "per-job batching");
-        prop_assert_eq!(via_per_job.stats.round_shots.as_deref(), Some(rounds.as_slice()));
-
-        let single_thread = Executor::with_backend(
-            NoiseModel::depolarizing(0.002, 0.02).with_readout(0.03),
-            Backend::DensityMatrix.with_thread_budget(1),
-        );
-        let via_one_thread = plan
-            .run_sampled(&single_thread, total, policy, seed)
-            .expect("adaptive run on one thread");
-        assert_reports_bit_identical(&via_one_thread, &baseline, "single-thread budget");
-        prop_assert_eq!(via_one_thread.stats.round_shots.as_deref(), Some(rounds.as_slice()));
+        let via_serial = plan
+            .run_sampled(&SerialRunner(executor()), total, policy, seed)
+            .expect("adaptive run through the serial loop");
+        assert_reports_bit_identical(&via_serial, &baseline, "serial per-job loop");
+        prop_assert_eq!(via_serial.stats.round_shots.as_deref(), Some(rounds.as_slice()));
     }
 
     /// Execute-once: a two-round session executes its batch a single time

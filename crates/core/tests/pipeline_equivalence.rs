@@ -379,6 +379,29 @@ fn plan_rejects_bad_subset_size_with_typed_error() {
 
     let err = QuTracer::plan(&circ, &[0], &QuTracerConfig::pairs()).unwrap_err();
     assert_eq!(err, PlanError::MeasuredTooSmall { needed: 2, got: 1 });
+
+    // A measured qubit outside the 4-qubit register, or listed twice, is
+    // rejected before any planning under either subset size.
+    for cfg in [QuTracerConfig::single(), QuTracerConfig::pairs()] {
+        let err = QuTracer::plan(&circ, &[0, 9], &cfg).unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::InvalidMeasured {
+                qubit: 9,
+                n_qubits: 4
+            }
+        );
+        assert!(err.to_string().contains("outside"), "{err}");
+        let err = QuTracer::plan(&circ, &[1, 1], &cfg).unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::InvalidMeasured {
+                qubit: 1,
+                n_qubits: 4
+            }
+        );
+        assert!(err.to_string().contains("more than once"), "{err}");
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! global register is wide, and the engine tier (stabilizer tableaux,
 //! sparse statevectors) simulates registers far past anything a dense
 //! `Vec<f64>` of length `2^n` could index. [`Distribution`] and [`Counts`]
-//! therefore store an index→mass map ([`Mass`]): a sorted
+//! therefore store an index→mass map (`Mass`): a sorted
 //! `Vec<(u64, mass)>` of the nonzero outcomes, with a dense table as a
 //! *fallback representation* chosen only when the outcome space is narrow
 //! ([`DEFAULT_DENSE_CAP_BITS`]) **and** at least half full
@@ -60,7 +60,7 @@ pub const DEFAULT_DENSE_CAP_BITS: usize = 26;
 /// Nonzero-entry fraction at which a cap-respecting outcome table switches
 /// to the dense representation: at half density the sorted map is strictly
 /// more work per traversal than a flat vector. Representation never
-/// changes results — only cost (see [`Mass`]).
+/// changes results — only cost (see `Mass`).
 pub const DEFAULT_DENSE_THRESHOLD: f64 = 0.5;
 
 /// Widest representable outcome space: indices are `u64` bit patterns.
@@ -163,7 +163,7 @@ fn dim_of(n_bits: usize) -> u128 {
     1u128 << n_bits
 }
 
-/// A value a [`Mass`] table can store: probability mass (`f64`) or shot
+/// A value a `Mass` table can store: probability mass (`f64`) or shot
 /// counts (`u64`). The zero element defines sparsity — exact zeros are
 /// never stored in the sparse representation.
 pub trait MassValue: Copy + PartialEq + std::fmt::Debug {
@@ -328,7 +328,7 @@ where
 }
 
 /// A (sub-)normalized probability distribution over `n_bits`-bit outcomes,
-/// stored sparsely by default (see [`Mass`]).
+/// stored sparsely by default (see `Mass`).
 ///
 /// Outcome index bit `i` corresponds to measured qubit `i` of whichever
 /// measurement list produced the distribution (the convention used across

@@ -35,7 +35,7 @@ const MARGINAL_FLOOR: f64 = 1e-15;
 /// bits of `global` (bit `j` of a local outcome corresponds to global bit
 /// `positions[j]`).
 ///
-/// Marginal bins at or below [`MARGINAL_FLOOR`] are treated as unobserved:
+/// Marginal bins at or below `MARGINAL_FLOOR` are treated as unobserved:
 /// dividing by them would blow up a pattern the noisy global considers
 /// (numerically) impossible, so their local mass is instead redistributed
 /// over the observed patterns, keeping the update mass-conserving.

@@ -28,7 +28,6 @@ pub use pcs::{
 };
 pub use qspc::{
     bloch_state_from_expectations, combine_pair_mitigated, combine_single_mitigated,
-    project_to_physical, tabulate_pair, tabulate_pair_sampled, tabulate_single,
-    tabulate_single_sampled, PairEnsemble, PairEnsembleKey, QspcConfig, QspcPair, QspcPairSpec,
-    QspcSingle, QspcSingleSpec, QspcStats, SingleEnsemble,
+    project_to_physical, tabulate_pair, tabulate_single, PairEnsemble, PairEnsembleKey, QspcConfig,
+    QspcPairSpec, QspcSingleSpec, QspcStats, SingleEnsemble,
 };

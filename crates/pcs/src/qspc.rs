@@ -34,7 +34,7 @@ use qt_math::states::{
     PrepState,
 };
 use qt_math::{Complex, Matrix, Pauli};
-use qt_sim::{BatchJob, Program, RunOutput, Runner, SampledOutput};
+use qt_sim::{BatchJob, Program, RunOutput};
 use std::collections::BTreeMap;
 
 /// Engine options.
@@ -116,11 +116,13 @@ impl QspcStats {
 /// pure circuit generation and classical combination, with no runner
 /// attached.
 ///
-/// [`QspcSingle`] couples a spec to a [`Runner`] for immediate execution.
-/// The staged pipeline (`qt_core::QuTracer::plan`) instead collects the
-/// [`SingleEnsemble`] jobs of every subset up front, executes them as one
-/// deduplicated batch and combines afterwards — both paths build
-/// byte-identical programs in identical order.
+/// A check runs in three steps: [`QspcSingleSpec::ensemble`] builds the
+/// preparation-ensemble jobs, a runner executes them (the staged pipeline,
+/// `qt_core::QuTracer::plan`, batches the jobs of every subset into one
+/// deduplicated batch), and [`tabulate_single`] then
+/// [`combine_single_mitigated`] turn the outputs into mitigated
+/// expectations. Finite-shot counts feed the same tabulation through
+/// `SampledOutput::to_run_output`.
 #[derive(Debug, Clone, Copy)]
 pub struct QspcSingleSpec<'a> {
     /// The traced qubit.
@@ -259,20 +261,6 @@ pub fn tabulate_single(
     (e, stats)
 }
 
-/// Tabulates a *sampled* [`SingleEnsemble`]: plug-in `⟨Z⟩` expectations
-/// from finite-shot counts (empirical frequencies), keyed like
-/// [`tabulate_single`]. The shot-noise standard error of each expectation
-/// is `√((1 − ⟨Z⟩²)/N)` for the job's `N` shots; the downstream mitigated
-/// combination is unchanged — the finite-shot pipeline differs from the
-/// exact one only in where its distributions come from.
-pub fn tabulate_single_sampled(
-    keys: &[(PrepState, Pauli)],
-    outs: &[SampledOutput],
-) -> (BTreeMap<(PrepState, Pauli), f64>, QspcStats) {
-    let outs: Vec<RunOutput> = outs.iter().map(SampledOutput::to_run_output).collect();
-    tabulate_single(keys, &outs)
-}
-
 /// Combines a tabulated single-qubit ensemble into mitigated expectations
 /// (Eqs. (5)–(8) with the post-selection denominator). Returns the map and
 /// the denominator. Purely classical: safe to run long after execution.
@@ -340,67 +328,9 @@ pub fn combine_single_mitigated(
     (out, den)
 }
 
-/// A single-qubit subsetting Pauli check over one segment.
-pub struct QspcSingle<'a, R: Runner> {
-    /// The runner (plain noisy simulator or transpiling device executor).
-    pub exec: &'a R,
-    /// The traced qubit.
-    pub qubit: usize,
-    /// Noisy prefix: everything before the cut (the traced wire is
-    /// discarded at the cut).
-    pub prefix: &'a Circuit,
-    /// The protected segment (must commute with `Z` on the traced qubit).
-    pub segment: &'a Circuit,
-    /// Options.
-    pub config: QspcConfig,
-}
-
-impl<'a, R: Runner> QspcSingle<'a, R> {
-    /// The runner-free plan form of this check.
-    pub fn spec(&self) -> QspcSingleSpec<'a> {
-        QspcSingleSpec {
-            qubit: self.qubit,
-            prefix: self.prefix,
-            segment: self.segment,
-            config: self.config,
-        }
-    }
-
-    /// Computes mitigated expectations `⟨O⟩` for each requested Pauli on the
-    /// traced qubit. Returns the map, the post-selection denominator and
-    /// execution statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho_in` is not 2×2 or the segment is not Z-checkable.
-    pub fn mitigated_expectations(
-        &self,
-        rho_in: &Matrix,
-        outputs: &[Pauli],
-    ) -> (BTreeMap<Pauli, f64>, f64, QspcStats) {
-        assert_eq!(rho_in.rows(), 2, "rho_in must be a single-qubit state");
-        let spec = self.spec();
-        // Execute the ensemble E[s][basis] as one batch: `preps × bases`
-        // independent circuits fan out across the runner's thread budget.
-        let ens = spec.ensemble(&spec.mitigated_bases(outputs));
-        let (e, stats) = tabulate_single(&ens.keys, &self.exec.run_batch(&ens.jobs));
-        let (out, den) = combine_single_mitigated(&self.config, rho_in, outputs, &e);
-        (out, den, stats)
-    }
-
-    /// Computes the full mitigated single-qubit state (X, Y and Z
-    /// components), clipped to the physical Bloch ball.
-    pub fn mitigated_state(&self, rho_in: &Matrix) -> (Matrix, f64, QspcStats) {
-        let (exps, den, stats) =
-            self.mitigated_expectations(rho_in, &[Pauli::X, Pauli::Y, Pauli::Z]);
-        (bloch_state_from_expectations(&exps), den, stats)
-    }
-}
-
 /// Assembles a physical single-qubit state from tabulated `X`/`Y`/`Z`
-/// expectations, clipping the Bloch vector to the unit ball — the shared
-/// final step of every single-qubit state reconstruction (QSPC engines and
-/// the SQEM baseline's staged recombination).
+/// expectations, clipping the Bloch vector to the unit ball — the final
+/// step of the SQEM baseline's single-qubit state reconstruction.
 pub fn bloch_state_from_expectations(exps: &BTreeMap<Pauli, f64>) -> Matrix {
     let mut v = [exps[&Pauli::X], exps[&Pauli::Y], exps[&Pauli::Z]];
     let norm = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
@@ -610,16 +540,6 @@ pub fn tabulate_pair(
     (e, stats)
 }
 
-/// Tabulates a *sampled* [`PairEnsemble`]: plug-in pair expectations from
-/// finite-shot counts, keyed like [`tabulate_pair`].
-pub fn tabulate_pair_sampled(
-    keys: &[PairEnsembleKey],
-    outs: &[SampledOutput],
-) -> (BTreeMap<PairEnsembleKey, f64>, QspcStats) {
-    let outs: Vec<RunOutput> = outs.iter().map(SampledOutput::to_run_output).collect();
-    tabulate_pair(keys, &outs)
-}
-
 /// Looks up a tabulated pair expectation, substituting the first recorded
 /// setting for `I` slots — the convention [`tabulate_pair`] records under.
 fn lookup_pair(
@@ -716,106 +636,6 @@ pub fn combine_pair_mitigated(
     (out, den)
 }
 
-/// A two-qubit subsetting Pauli check (simultaneous `Z_a` and `Z_b` checks)
-/// over one segment.
-pub struct QspcPair<'a, R: Runner> {
-    /// The runner (plain noisy simulator or transpiling device executor).
-    pub exec: &'a R,
-    /// The traced pair; `qubits[0]` is bit 0 of local indices.
-    pub qubits: [usize; 2],
-    /// Noisy prefix before the cut.
-    pub prefix: &'a Circuit,
-    /// The protected segment (must commute with Z on both qubits).
-    pub segment: &'a Circuit,
-    /// Options.
-    pub config: QspcConfig,
-}
-
-impl<'a, R: Runner> QspcPair<'a, R> {
-    /// The runner-free plan form of this check.
-    pub fn spec(&self) -> QspcPairSpec<'a> {
-        QspcPairSpec {
-            qubits: self.qubits,
-            prefix: self.prefix,
-            segment: self.segment,
-            config: self.config,
-        }
-    }
-
-    /// Computes mitigated expectations `⟨P₀ ⊗ P₁⟩` (Paulis on
-    /// `qubits[0]`/`qubits[1]`) for each requested pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho_in` is not 4×4 or the segment is not Z-checkable on
-    /// both qubits.
-    pub fn mitigated_expectations(
-        &self,
-        rho_in: &Matrix,
-        outputs: &[(Pauli, Pauli)],
-    ) -> (BTreeMap<(Pauli, Pauli), f64>, f64, QspcStats) {
-        assert_eq!(rho_in.rows(), 4, "rho_in must be a two-qubit state");
-        let spec = self.spec();
-        let (needed_low, needed_high) = spec.mitigated_settings(outputs);
-        // Execute the ensemble E[(s_low, s_high)][(P_low, P_high)] as one
-        // batch: `preps² × settings` independent circuits fan out across
-        // the runner's thread budget.
-        let ens = spec.ensemble(&needed_low, &needed_high);
-        let (e, stats) = tabulate_pair(&ens.keys, &self.exec.run_batch(&ens.jobs));
-        let (out, den) =
-            combine_pair_mitigated(&self.config, rho_in, outputs, &needed_low, &needed_high, &e);
-        (out, den, stats)
-    }
-
-    /// The full mitigated two-qubit state from all 16 Pauli expectations,
-    /// projected back to a physical (unit-trace, PSD-clipped) matrix.
-    pub fn mitigated_state(&self, rho_in: &Matrix) -> (Matrix, f64, QspcStats) {
-        let mut outputs = Vec::new();
-        for pl in Pauli::ALL {
-            for ph in Pauli::ALL {
-                if pl == Pauli::I && ph == Pauli::I {
-                    continue;
-                }
-                outputs.push((pl, ph));
-            }
-        }
-        let (exps, den, stats) = self.mitigated_expectations(rho_in, &outputs);
-        let mut rho = Matrix::identity(4).scale(Complex::real(0.25));
-        for (&(pl, ph), &v) in &exps {
-            let op = ph.matrix().kron(&pl.matrix());
-            rho = rho.add(&op.scale(Complex::real(v / 4.0)));
-        }
-        (project_to_physical(&rho), den, stats)
-    }
-
-    /// The mitigated Z-basis distribution of the pair (bit 0 = `qubits[0]`),
-    /// from the diagonal Pauli expectations only.
-    pub fn mitigated_diagonal(&self, rho_in: &Matrix) -> (qt_dist::Distribution, f64, QspcStats) {
-        let outputs = [
-            (Pauli::Z, Pauli::I),
-            (Pauli::I, Pauli::Z),
-            (Pauli::Z, Pauli::Z),
-        ];
-        let (exps, den, stats) = self.mitigated_expectations(rho_in, &outputs);
-        let z0 = exps[&(Pauli::Z, Pauli::I)];
-        let z1 = exps[&(Pauli::I, Pauli::Z)];
-        let zz = exps[&(Pauli::Z, Pauli::Z)];
-        let mut probs = vec![0.0; 4];
-        for (b, p) in probs.iter_mut().enumerate() {
-            let s0 = if b & 1 == 0 { 1.0 } else { -1.0 };
-            let s1 = if b & 2 == 0 { 1.0 } else { -1.0 };
-            *p = ((1.0 + s0 * z0 + s1 * z1 + s0 * s1 * zz) / 4.0).max(0.0);
-        }
-        (
-            qt_dist::Distribution::try_from_probs(2, probs)
-                .expect("four probabilities fit two bits")
-                .normalized(),
-            den,
-            stats,
-        )
-    }
-}
-
 /// Decomposes a 2×2 operator that is proportional to a single Pauli:
 /// returns `(c, P)` with `V = c·P`. Exact for products of Paulis.
 ///
@@ -889,7 +709,7 @@ pub fn project_to_physical(rho: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qt_sim::{Backend, Executor, NoiseModel};
+    use qt_sim::{Backend, Executor, NoiseModel, Runner};
 
     /// Reference: exact severed evolution — prefix, reset subset to ρ_in,
     /// segment — on the DM engine with the same noise.
@@ -917,6 +737,66 @@ mod tests {
         rho.marginal_probabilities(subset)
     }
 
+    /// Mitigated expectations on traced qubit 0 in plan form: build the
+    /// ensemble, execute it as one batch, tabulate and combine.
+    fn single(
+        exec: &Executor,
+        prefix: &Circuit,
+        segment: &Circuit,
+        config: QspcConfig,
+        rho_in: &Matrix,
+        outputs: &[Pauli],
+    ) -> (BTreeMap<Pauli, f64>, f64, QspcStats) {
+        let spec = QspcSingleSpec {
+            qubit: 0,
+            prefix,
+            segment,
+            config,
+        };
+        let ens = spec.ensemble(&spec.mitigated_bases(outputs));
+        let (e, stats) = tabulate_single(&ens.keys, &exec.run_batch(&ens.jobs));
+        let (exps, den) = combine_single_mitigated(&config, rho_in, outputs, &e);
+        (exps, den, stats)
+    }
+
+    /// The mitigated Z-basis distribution of the traced pair `[0, 1]` (bit
+    /// 0 = qubit 0) from its diagonal Pauli expectations, in plan form.
+    fn pair_diagonal(
+        exec: &Executor,
+        prefix: &Circuit,
+        segment: &Circuit,
+        rho_in: &Matrix,
+    ) -> (qt_dist::Distribution, f64) {
+        let config = QspcConfig::default();
+        let spec = QspcPairSpec {
+            qubits: [0, 1],
+            prefix,
+            segment,
+            config,
+        };
+        let outputs = [
+            (Pauli::Z, Pauli::I),
+            (Pauli::I, Pauli::Z),
+            (Pauli::Z, Pauli::Z),
+        ];
+        let (low, high) = spec.mitigated_settings(&outputs);
+        let ens = spec.ensemble(&low, &high);
+        let (e, _) = tabulate_pair(&ens.keys, &exec.run_batch(&ens.jobs));
+        let (exps, den) = combine_pair_mitigated(&config, rho_in, &outputs, &low, &high, &e);
+        let (z0, z1, zz) = (exps[&outputs[0]], exps[&outputs[1]], exps[&outputs[2]]);
+        let probs = (0..4)
+            .map(|b| {
+                let s0 = if b & 1 == 0 { 1.0 } else { -1.0 };
+                let s1 = if b & 2 == 0 { 1.0 } else { -1.0 };
+                ((1.0 + s0 * z0 + s1 * z1 + s0 * s1 * zz) / 4.0).max(0.0)
+            })
+            .collect();
+        let dist = qt_dist::Distribution::try_from_probs(2, probs)
+            .expect("four probabilities fit two bits")
+            .normalized();
+        (dist, den)
+    }
+
     fn vqe_pieces() -> (Circuit, Circuit) {
         // 3 qubits; traced qubit 0. Prefix: Ry layer + CZ + Ry (one layer).
         let mut prefix = Circuit::new(3);
@@ -932,14 +812,14 @@ mod tests {
         let (prefix, segment) = vqe_pieces();
         let exec = Executor::with_backend(NoiseModel::ideal(), Backend::DensityMatrix);
         let rho_in = qt_math::states::density_from_bloch([0.2, -0.3, 0.4]);
-        let q = QspcSingle {
-            exec: &exec,
-            qubit: 0,
-            prefix: &prefix,
-            segment: &segment,
-            config: QspcConfig::default(),
-        };
-        let (exps, den, _) = q.mitigated_expectations(&rho_in, &[Pauli::X, Pauli::Y, Pauli::Z]);
+        let (exps, den, _) = single(
+            &exec,
+            &prefix,
+            &segment,
+            QspcConfig::default(),
+            &rho_in,
+            &[Pauli::X, Pauli::Y, Pauli::Z],
+        );
         let reference = severed_reference(&exec, &prefix, &segment, &[0], &rho_in);
         let z_ref = reference[0] - reference[1];
         assert!((den - 1.0).abs() < 1e-8, "den {den}");
@@ -960,13 +840,18 @@ mod tests {
 
     #[test]
     fn sampled_tabulation_converges_to_exact() {
-        use qt_sim::{Runner, SampledOutput, ShotPlan};
+        use qt_sim::{SampledOutput, ShotPlan};
         let (prefix, segment) = vqe_pieces();
         let exec = Executor::with_backend(
             NoiseModel::depolarizing(0.004, 0.03).with_readout(0.05),
             Backend::DensityMatrix,
         );
         let shots = 1 << 17;
+        // Counts feed the exact tabulation through their empirical
+        // frequencies.
+        let to_run_outputs = |outs: &[SampledOutput]| -> Vec<RunOutput> {
+            outs.iter().map(SampledOutput::to_run_output).collect()
+        };
 
         // Single-qubit ensemble: sampled expectations within shot noise of
         // the exact ones, identical stats accounting.
@@ -981,7 +866,7 @@ mod tests {
         let sampled: Vec<SampledOutput> =
             exec.run_batch_sampled(&ens.jobs, &ShotPlan::uniform(ens.jobs.len(), shots), 7);
         let (exact_e, exact_stats) = tabulate_single(&ens.keys, &outs);
-        let (sampled_e, sampled_stats) = tabulate_single_sampled(&ens.keys, &sampled);
+        let (sampled_e, sampled_stats) = tabulate_single(&ens.keys, &to_run_outputs(&sampled));
         assert_eq!(exact_stats, sampled_stats, "gate accounting is shot-free");
         for (key, e) in &exact_e {
             let s = sampled_e[key];
@@ -1002,7 +887,7 @@ mod tests {
         let psampled =
             exec.run_batch_sampled(&pens.jobs, &ShotPlan::uniform(pens.jobs.len(), shots), 11);
         let (pe, pstats) = tabulate_pair(&pens.keys, &pouts);
-        let (pse, psstats) = tabulate_pair_sampled(&pens.keys, &psampled);
+        let (pse, psstats) = tabulate_pair(&pens.keys, &to_run_outputs(&psampled));
         assert_eq!(pstats, psstats);
         for (key, e) in &pe {
             let s = pse[key];
@@ -1024,14 +909,14 @@ mod tests {
         let z_ideal = ideal_ref[0] - ideal_ref[1];
         let z_noisy = noisy_ref[0] - noisy_ref[1];
 
-        let q = QspcSingle {
-            exec: &noisy_exec,
-            qubit: 0,
-            prefix: &prefix,
-            segment: &segment,
-            config: QspcConfig::default(),
-        };
-        let (exps, den, _) = q.mitigated_expectations(&rho_in, &[Pauli::Z]);
+        let (exps, den, _) = single(
+            &noisy_exec,
+            &prefix,
+            &segment,
+            QspcConfig::default(),
+            &rho_in,
+            &[Pauli::Z],
+        );
         let z_mit = exps[&Pauli::Z];
         assert!(den > 0.5, "den {den}");
         assert!(
@@ -1054,14 +939,14 @@ mod tests {
         // Unmitigated noisy ⟨Z⟩ = (1 − 2·0.15)·ideal.
         let z_noisy = 0.7 * z_ideal;
 
-        let q = QspcSingle {
-            exec: &noisy_exec,
-            qubit: 0,
-            prefix: &prefix,
-            segment: &segment,
-            config: QspcConfig::default(),
-        };
-        let (exps, _, _) = q.mitigated_expectations(&rho_in, &[Pauli::Z]);
+        let (exps, _, _) = single(
+            &noisy_exec,
+            &prefix,
+            &segment,
+            QspcConfig::default(),
+            &rho_in,
+            &[Pauli::Z],
+        );
         let z_mit = exps[&Pauli::Z];
         assert!(
             (z_mit - z_ideal).abs() < 0.5 * (z_noisy - z_ideal).abs(),
@@ -1075,17 +960,11 @@ mod tests {
         let exec = Executor::with_backend(NoiseModel::ideal(), Backend::DensityMatrix);
         let rho_in = qt_math::states::PrepState::Plus.projector();
         let run = |optimize: bool| {
-            let q = QspcSingle {
-                exec: &exec,
-                qubit: 0,
-                prefix: &prefix,
-                segment: &segment,
-                config: QspcConfig {
-                    optimize_circuits: optimize,
-                    ..Default::default()
-                },
+            let config = QspcConfig {
+                optimize_circuits: optimize,
+                ..Default::default()
             };
-            q.mitigated_expectations(&rho_in, &[Pauli::Z])
+            single(&exec, &prefix, &segment, config, &rho_in, &[Pauli::Z])
         };
         let (opt, _, stats_opt) = run(true);
         let (raw, _, stats_raw) = run(false);
@@ -1125,14 +1004,7 @@ mod tests {
                 rho_in[(r, c)] += bell[r] * bell[c].conj() * 0.4;
             }
         }
-        let q = QspcPair {
-            exec: &exec,
-            qubits: [0, 1],
-            prefix: &prefix,
-            segment: &segment,
-            config: QspcConfig::default(),
-        };
-        let (dist, den, _) = q.mitigated_diagonal(&rho_in);
+        let (dist, den) = pair_diagonal(&exec, &prefix, &segment, &rho_in);
         assert!((den - 1.0).abs() < 1e-7, "den {den}");
         let reference = severed_reference(&exec, &prefix, &segment, &[0, 1], &rho_in);
         for (k, want) in reference.iter().enumerate() {
@@ -1188,14 +1060,7 @@ mod tests {
             prog.push_circuit(&segment);
             noisy_exec.noisy_distribution(&prog, &[0, 1])
         };
-        let q = QspcPair {
-            exec: &noisy_exec,
-            qubits: [0, 1],
-            prefix: &prefix,
-            segment: &segment,
-            config: QspcConfig::default(),
-        };
-        let (dist, _, _) = q.mitigated_diagonal(&rho_in);
+        let (dist, _) = pair_diagonal(&noisy_exec, &prefix, &segment, &rho_in);
         let err_mit: f64 = (0..4u64)
             .map(|k| (dist.prob(k) - reference[k as usize]).abs())
             .sum();

@@ -5,8 +5,31 @@
 use proptest::prelude::*;
 use qt_circuit::Circuit;
 use qt_math::{Matrix, Pauli};
-use qt_pcs::{QspcConfig, QspcSingle};
-use qt_sim::{Backend, Executor, NoiseModel, Program};
+use qt_pcs::{combine_single_mitigated, tabulate_single, QspcConfig, QspcSingleSpec, QspcStats};
+use qt_sim::{Backend, Executor, NoiseModel, Program, Runner};
+use std::collections::BTreeMap;
+
+/// Mitigated expectations on traced qubit 0 in plan form: build the
+/// ensemble, execute it as one batch, tabulate and combine.
+fn mitigate(
+    exec: &Executor,
+    prefix: &Circuit,
+    segment: &Circuit,
+    config: QspcConfig,
+    rho_in: &Matrix,
+    outputs: &[Pauli],
+) -> (BTreeMap<Pauli, f64>, f64, QspcStats) {
+    let spec = QspcSingleSpec {
+        qubit: 0,
+        prefix,
+        segment,
+        config,
+    };
+    let ens = spec.ensemble(&spec.mitigated_bases(outputs));
+    let (e, stats) = tabulate_single(&ens.keys, &exec.run_batch(&ens.jobs));
+    let (exps, den) = combine_single_mitigated(&config, rho_in, outputs, &e);
+    (exps, den, stats)
+}
 
 /// A random Z-checkable segment on 3 qubits for the traced qubit 0:
 /// diagonal couplings from qubit 0, anything on qubits 1–2.
@@ -63,15 +86,14 @@ proptest! {
         rho_in in arb_bloch(),
     ) {
         let exec = Executor::with_backend(NoiseModel::ideal(), Backend::DensityMatrix);
-        let engine = QspcSingle {
-            exec: &exec,
-            qubit: 0,
-            prefix: &prefix,
-            segment: &segment,
-            config: QspcConfig::default(),
-        };
-        let (exps, den, _) =
-            engine.mitigated_expectations(&rho_in, &[Pauli::X, Pauli::Y, Pauli::Z]);
+        let (exps, den, _) = mitigate(
+            &exec,
+            &prefix,
+            &segment,
+            QspcConfig::default(),
+            &rho_in,
+            &[Pauli::X, Pauli::Y, Pauli::Z],
+        );
         prop_assert!((den - 1.0).abs() < 1e-7, "den {den}");
 
         // Reference: prefix; reset(0 → rho_in); segment — exact DM.
@@ -105,15 +127,14 @@ proptest! {
             NoiseModel::depolarizing(0.002, p2).with_readout(ro),
             Backend::DensityMatrix,
         );
-        let engine = QspcSingle {
-            exec: &exec,
-            qubit: 0,
-            prefix: &prefix,
-            segment: &segment,
-            config: QspcConfig::default(),
-        };
-        let (exps, den, stats) =
-            engine.mitigated_expectations(&rho_in, &[Pauli::X, Pauli::Z]);
+        let (exps, den, stats) = mitigate(
+            &exec,
+            &prefix,
+            &segment,
+            QspcConfig::default(),
+            &rho_in,
+            &[Pauli::X, Pauli::Z],
+        );
         prop_assert!(den <= 1.0 + 1e-6, "den {den}");
         prop_assert!(den > 0.0, "den {den}");
         for (&p, &v) in &exps {
@@ -131,16 +152,8 @@ proptest! {
         rho_in in arb_bloch(),
     ) {
         let exec = Executor::with_backend(NoiseModel::ideal(), Backend::DensityMatrix);
-        let run = |config: QspcConfig| {
-            let engine = QspcSingle {
-                exec: &exec,
-                qubit: 0,
-                prefix: &prefix,
-                segment: &segment,
-                config,
-            };
-            engine.mitigated_expectations(&rho_in, &[Pauli::Z])
-        };
+        let run =
+            |config: QspcConfig| mitigate(&exec, &prefix, &segment, config, &rho_in, &[Pauli::Z]);
         let (a, _, sa) = run(QspcConfig::default());
         let (b, _, sb) = run(QspcConfig::sqem());
         prop_assert!((a[&Pauli::Z] - b[&Pauli::Z]).abs() < 1e-7);

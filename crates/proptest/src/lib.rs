@@ -212,7 +212,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::RngExt;
 
-    /// Element-count bound for [`vec`]: an exact count or a half-open range.
+    /// Element-count bound for [`vec`](fn@vec): an exact count or a half-open range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,
@@ -255,7 +255,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

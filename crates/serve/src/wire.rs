@@ -436,6 +436,11 @@ fn plan_error_to_json(e: &PlanError) -> Json {
             ("kind", Json::Str("unsupported_subset_size".into())),
             ("size", Json::Num(*size as f64)),
         ]),
+        PlanError::InvalidMeasured { qubit, n_qubits } => obj([
+            ("kind", Json::Str("invalid_measured".into())),
+            ("qubit", Json::Num(*qubit as f64)),
+            ("n_qubits", Json::Num(*n_qubits as f64)),
+        ]),
         PlanError::MeasuredTooSmall { needed, got } => obj([
             ("kind", Json::Str("measured_too_small".into())),
             ("needed", Json::Num(*needed as f64)),
@@ -455,6 +460,10 @@ fn plan_error_from_json(j: &Json) -> Result<PlanError, String> {
     match kind {
         "unsupported_subset_size" => Ok(PlanError::UnsupportedSubsetSize {
             size: j.field("size", "plan_error")?.as_usize("size")?,
+        }),
+        "invalid_measured" => Ok(PlanError::InvalidMeasured {
+            qubit: j.field("qubit", "plan_error")?.as_usize("qubit")?,
+            n_qubits: j.field("n_qubits", "plan_error")?.as_usize("n_qubits")?,
         }),
         "measured_too_small" => Ok(PlanError::MeasuredTooSmall {
             needed: j.field("needed", "plan_error")?.as_usize("needed")?,

@@ -8,7 +8,9 @@ use qt_algos::{qaoa_maxcut, ring_graph, QaoaParams};
 use qt_circuit::Circuit;
 use qt_core::{run_qutracer, QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy};
 use qt_dist::Distribution;
-use qt_serve::{serve, JobState, MitigationService, ServiceClient, ServiceConfig, ServiceError};
+use qt_serve::{
+    serve, ClientError, JobState, MitigationService, ServiceClient, ServiceConfig, ServiceError,
+};
 use qt_sim::{Backend, ChaosConfig, ChaosRunner, Executor, NoiseModel};
 use std::time::{Duration, Instant};
 
@@ -189,6 +191,20 @@ fn plan_errors_are_rejected_at_submission() {
         matches!(err, ServiceError::Plan(_)),
         "expected Plan error, got {err:?}"
     );
+    // A measured qubit outside the register, or listed twice, under
+    // either subset size.
+    let vqe = qt_algos::vqe_ansatz(4, 1, 1);
+    for cfg in [QuTracerConfig::single(), QuTracerConfig::pairs()] {
+        for measured in [[0, 9], [1, 1]] {
+            let err = service
+                .submit(&vqe, &measured, &cfg)
+                .expect_err("plan must fail");
+            assert!(
+                matches!(err, ServiceError::Plan(_)),
+                "{measured:?}: expected Plan error, got {err:?}"
+            );
+        }
+    }
     assert_eq!(service.stats().submitted, 0);
     service.shutdown();
 }
@@ -385,7 +401,8 @@ fn sampled_submissions_validate_budget_and_policy_at_admission() {
     service.shutdown();
 }
 
-/// The HTTP shell maps unknown jobs and unknown routes to typed errors.
+/// The HTTP shell maps unknown jobs and unplannable submissions to typed
+/// errors.
 #[test]
 fn http_shell_maps_errors_to_statuses() {
     let server = serve("127.0.0.1:0", runner(), ServiceConfig::default()).expect("bind");
@@ -394,6 +411,13 @@ fn http_shell_maps_errors_to_statuses() {
     match client.result(999_999) {
         Err(e) => assert!(format!("{e}").contains("not_found"), "got: {e}"),
         Ok(r) => panic!("unknown job returned {r:?}"),
+    }
+    let vqe = qt_algos::vqe_ansatz(4, 1, 1);
+    match client.submit(&vqe, &[0, 9], &QuTracerConfig::pairs()) {
+        Err(ClientError::Server { status, kind, .. }) => {
+            assert_eq!((status, kind.as_str()), (422, "plan_error"));
+        }
+        other => panic!("out-of-register measured qubit returned {other:?}"),
     }
     server.shutdown();
 }

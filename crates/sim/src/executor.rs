@@ -10,9 +10,11 @@
 //! Mitigation workloads are ensembles: one QSPC check alone runs
 //! `preps × bases` independent circuits. [`Runner::run_batch`] is the
 //! throughput path for those — the default implementation is a serial
-//! loop, and [`Executor`] overrides it to fan the jobs out over scoped
-//! threads with the machine's parallelism split between the jobs and each
-//! job's internal trajectory workers.
+//! loop, and [`Executor`] overrides it to fold the jobs into
+//! prefix-sharing execution tries whose independent subtrees (and
+//! non-forkable jobs) fan out over scoped threads, with the machine's
+//! parallelism split between them and each job's internal trajectory
+//! workers.
 
 use crate::backend::{self, BackendEngine, EngineState};
 use crate::classify::ProgramProfile;
@@ -659,60 +661,6 @@ pub trait Runner {
     }
 }
 
-/// How [`Executor::run_batch`] schedules a batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchPolicy {
-    /// Fold the batch into a prefix-sharing [`ExecutionTrie`] and evolve
-    /// shared op prefixes once, checkpoint/forking engine states at branch
-    /// points (the default; see [`crate::trie`]). Jobs resolved to
-    /// stochastic engines fall back to per-job execution automatically.
-    Trie {
-        /// Bound on simultaneously held engine states per trie walk;
-        /// `None` derives one from the state size (≈ 256 MiB of
-        /// checkpoints, between 1 and 64 states). When the bound is hit
-        /// the scheduler re-simulates instead of checkpointing, so memory
-        /// stays bounded at the price of repeated gate work.
-        max_live_states: Option<usize>,
-    },
-    /// One independent execution per job (the pre-trie behaviour, kept as
-    /// the benchmark baseline).
-    PerJob,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::Trie {
-            max_live_states: None,
-        }
-    }
-}
-
-/// An invalid [`Executor`] batch configuration, rejected at configuration
-/// time. Before this error existed, `BatchPolicy::Trie { max_live_states:
-/// Some(0) }` was silently clamped to 1 deep inside the trie walk — the
-/// caller asked for an impossible budget and got replay-everything
-/// behaviour with no signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchConfigError {
-    /// `max_live_states` must be at least 1: the walked state itself is
-    /// always live.
-    ZeroLiveStateBudget,
-}
-
-impl std::fmt::Display for BatchConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchConfigError::ZeroLiveStateBudget => write!(
-                f,
-                "max_live_states must be >= 1 (the walked state is always live); \
-                 use None for the automatic budget"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BatchConfigError {}
-
 /// Largest measured-qubit set the *dense-table* execution paths (the
 /// trajectory engine's per-shot accumulator, noisy readout convolution)
 /// will allocate a `2^m` vector for (`2^26` f64 entries is 512 MiB).
@@ -722,13 +670,15 @@ impl std::error::Error for BatchConfigError {}
 /// low-entanglement job can measure all 32 qubits.
 pub const MAX_MEASURED_BITS: usize = 26;
 
-/// Total bytes of checkpoint states the automatic `max_live_states`
-/// derivation budgets per trie walk.
+/// Total bytes of checkpoint states [`auto_live_states`] budgets per trie
+/// walk.
 const CHECKPOINT_BUDGET_BYTES: usize = 1 << 28; // 256 MiB
 
-/// The automatic live-state bound: as many states as the byte budget
-/// affords (conservatively sized as density matrices), clamped to
-/// `[1, 64]`.
+/// The live-state bound of every trie walk: as many states as the byte
+/// budget affords (conservatively sized as density matrices), clamped to
+/// `[1, 64]`. When the bound is hit the walk re-simulates instead of
+/// checkpointing, so memory stays bounded at the price of repeated gate
+/// work.
 fn auto_live_states(n_qubits: usize) -> usize {
     // 16-byte amplitudes, 4^n of them for a density matrix.
     let state_bytes = match 1usize.checked_shl(2 * n_qubits as u32) {
@@ -747,17 +697,13 @@ impl Runner for Executor {
         }
     }
 
-    /// Executes the batch under the configured [`BatchPolicy`]: the
-    /// default trie path shares every common op prefix across jobs
-    /// (bit-identical to per-job execution — see [`crate::trie`]), with
-    /// parallelism split across independent trie subtrees; the per-job
-    /// path fans whole jobs out over scoped threads under the shared
-    /// [`backend::batch_split`] policy.
+    /// Executes the batch on the prefix-sharing trie path — the
+    /// executor's one batch path: every common op prefix across jobs is
+    /// evolved once (bit-identical to per-job execution — see
+    /// [`crate::trie`]), with parallelism split across independent trie
+    /// subtrees under the shared [`backend::batch_split`] policy.
     fn run_batch(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
-        match self.batch {
-            BatchPolicy::PerJob => self.run_batch_per_job(jobs),
-            BatchPolicy::Trie { max_live_states } => self.run_batch_trie(jobs, max_live_states),
-        }
+        self.run_batch_trie(jobs)
     }
 
     fn engine_mix(&self, jobs: &[BatchJob]) -> Option<Vec<(String, usize)>> {
@@ -807,7 +753,6 @@ struct BatchGroup {
 pub struct Executor {
     noise: NoiseModel,
     backend: Backend,
-    batch: BatchPolicy,
 }
 
 impl Executor {
@@ -816,36 +761,12 @@ impl Executor {
         Executor {
             noise,
             backend: Backend::default(),
-            batch: BatchPolicy::default(),
         }
     }
 
     /// Creates an executor with an explicit backend.
     pub fn with_backend(noise: NoiseModel, backend: Backend) -> Self {
-        Executor {
-            noise,
-            backend,
-            batch: BatchPolicy::default(),
-        }
-    }
-
-    /// Returns a copy using the given batch-scheduling policy.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchConfigError::ZeroLiveStateBudget`] for
-    /// `BatchPolicy::Trie { max_live_states: Some(0) }` — a zero budget
-    /// cannot hold even the walked state, and used to degrade silently to
-    /// replay-everything instead of being rejected here.
-    pub fn with_batch_policy(mut self, batch: BatchPolicy) -> Result<Self, BatchConfigError> {
-        if let BatchPolicy::Trie {
-            max_live_states: Some(0),
-        } = batch
-        {
-            return Err(BatchConfigError::ZeroLiveStateBudget);
-        }
-        self.batch = batch;
-        Ok(self)
+        Executor { noise, backend }
     }
 
     /// The noise model.
@@ -858,32 +779,6 @@ impl Executor {
         self.backend
     }
 
-    /// The batch-scheduling policy.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch
-    }
-
-    /// The pre-trie per-job batch path: fans whole jobs out over scoped
-    /// threads, splitting the machine between concurrent jobs and each
-    /// job's internal workers.
-    fn run_batch_per_job(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
-        let (workers, inner) = backend::batch_split(jobs.len());
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .map(|j| self.run(&j.program, &j.measured))
-                .collect();
-        }
-        let per_job = Executor {
-            noise: self.noise.clone(),
-            backend: self.backend.with_thread_budget(inner),
-            batch: self.batch,
-        };
-        backend::parallel_indexed(jobs.len(), workers, |i| {
-            per_job.run(&jobs[i].program, &jobs[i].measured)
-        })
-    }
-
     /// The prefix-sharing batch path (see [`crate::trie`]).
     ///
     /// Per job, the same compaction the serial path applies yields the
@@ -893,7 +788,7 @@ impl Executor {
     /// falls back to per-job execution. Readout error and gate statistics
     /// use the *original* job, exactly as [`Executor::run`] does, so the
     /// outputs are bit-identical to the serial loop.
-    fn run_batch_trie(&self, jobs: &[BatchJob], max_live_states: Option<usize>) -> Vec<RunOutput> {
+    fn run_batch_trie(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
         if jobs.is_empty() {
             return Vec::new();
         }
@@ -962,11 +857,6 @@ impl Executor {
         for &job in &fallback {
             units.push(BatchUnit::Fallback { job });
         }
-        let budget_of = |g: &BatchGroup| {
-            max_live_states
-                .unwrap_or_else(|| auto_live_states(g.n_qubits))
-                .max(1)
-        };
         // One shared noise-model handle for every snapshot of the batch.
         let noise_arc = std::sync::Arc::new(self.noise.clone());
         let snapshot_of = |g: &BatchGroup| {
@@ -1001,7 +891,6 @@ impl Executor {
         let per_job = Executor {
             noise: self.noise.clone(),
             backend: self.backend.with_thread_budget(inner),
-            batch: self.batch,
         };
         enum UnitOutcome {
             Trie(Vec<(usize, Distribution)>),
@@ -1012,9 +901,9 @@ impl Executor {
                 let g = &groups[*group];
                 let init = snapshot_of(g);
                 let init: &(dyn Fn() -> Box<dyn EngineState> + Sync) = &init;
-                let (dists, _) = g
-                    .trie
-                    .execute_subtree(*child, init, &g.measured, budget_of(g));
+                let (dists, _) =
+                    g.trie
+                        .execute_subtree(*child, init, &g.measured, auto_live_states(g.n_qubits));
                 UnitOutcome::Trie(
                     dists
                         .into_iter()

@@ -3,7 +3,7 @@
 //! Many QuTracer subset circuits touch a wide register but build little
 //! superposition: the number of nonzero amplitudes reachable from `|0…0⟩` is
 //! at most `2^s` where `s` counts the superposition-growing ops (see
-//! [`ProgramProfile::superposing_ops`]). [`SparseState`] stores only the
+//! [`ProgramProfile::superposing_ops`]). `SparseState` stores only the
 //! nonzero amplitudes in a `BTreeMap<u64, Complex>` — the canonical key
 //! order makes every float summation deterministic, so trie-forked and
 //! per-job executions stay bit-identical.

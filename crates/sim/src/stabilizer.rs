@@ -15,7 +15,7 @@
 //! do), and a gate's sign update depends on x/z bits alone, so a sign
 //! *difference* injected by a noise option persists per row until
 //! measurement. Each channel application is therefore recorded as a
-//! [`NoiseEvent`]: per mixture option, its probability and the bitmask of
+//! `NoiseEvent`: per mixture option, its probability and the bitmask of
 //! stabilizer rows it anticommutes with *at application time*. The ideal
 //! branch (identity option) evolves the tableau; nothing is sampled.
 //!

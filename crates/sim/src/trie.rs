@@ -42,6 +42,8 @@
 //! from the (cheap, empty-state) root instead — graceful degradation that
 //! trades repeated gate work for bounded memory. `max_live_states = 1`
 //! never holds a checkpoint and re-simulates every branch.
+//! [`crate::Executor`] derives the budget from the register size (≈ 256
+//! MiB of checkpoints, between 1 and 64 states); it is not an option.
 
 use crate::backend::EngineState;
 use crate::program::{Op, Program};
@@ -337,11 +339,9 @@ impl ExecutionTrie {
             trie: self,
             init,
             measured,
-            // Last-resort clamp only: a zero budget is rejected upstream at
-            // executor-configuration time (`Executor::with_batch_policy`
-            // returns `BatchConfigError::ZeroLiveStateBudget`), so direct
-            // trie callers passing 0 get budget-1 replay semantics instead
-            // of a hang or underflow.
+            // The walked state itself is always live, so a direct caller
+            // passing 0 gets budget-1 replay semantics instead of a hang or
+            // underflow (the executor derives a budget of at least 1).
             budget: max_live_states.max(1),
             live: 1,
             counters: &mut counters,

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use qt_circuit::{Circuit, Gate};
 use qt_dist::Distribution;
-use qt_sim::{Backend, BatchJob, BatchPolicy, Executor, NoiseModel, Program, Runner};
+use qt_sim::{Backend, BatchJob, Executor, NoiseModel, Program, Runner};
 
 /// Clifford-only gate stream: the stabilizer engine's full alphabet.
 fn arb_clifford_gate(n: usize) -> impl Strategy<Value = (Gate, Vec<usize>)> {
@@ -199,12 +199,12 @@ fn trie_is_bit_identical_to_per_job_for_each_engine() {
     ];
     for (backend, noise) in cases {
         let jobs = prefix_family(&prefix, n);
-        let trie = Executor::with_backend(noise.clone(), backend);
-        let per_job = Executor::with_backend(noise.clone(), backend)
-            .with_batch_policy(BatchPolicy::PerJob)
-            .unwrap();
-        let a = trie.run_batch(&jobs);
-        let b = per_job.run_batch(&jobs);
+        let exec = Executor::with_backend(noise, backend);
+        let a = exec.run_batch(&jobs);
+        let b: Vec<_> = jobs
+            .iter()
+            .map(|j| exec.run(&j.program, &j.measured))
+            .collect();
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             let xs: Vec<(u64, f64)> = x.dist.iter().collect();

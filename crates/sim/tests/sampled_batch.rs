@@ -1,14 +1,14 @@
 //! Finite-shot batch execution contracts: sampled counts must be a pure
 //! function of `(jobs, shot plan, seed)` — stable across repeated runs,
-//! bit-identical between the trie-integrated and per-job batch policies
-//! and between the trait-default and `Executor`-override paths, and
-//! invariant to the sampler's worker-thread count.
+//! bit-identical between the trie-scheduled `Executor` batch and the
+//! trait-default serial loop, and invariant to the sampler's worker-thread
+//! count.
 
 use qt_circuit::Circuit;
 use qt_dist::Distribution;
 use qt_sim::{
-    sample_counts_deterministic, Backend, BatchConfigError, BatchJob, BatchPolicy, Executor,
-    NoiseModel, Program, RunOutput, Runner, ShotPlan,
+    sample_counts_deterministic, Backend, BatchJob, Executor, NoiseModel, Program, RunOutput,
+    Runner, ShotPlan,
 };
 
 fn qaoa_like_jobs() -> Vec<BatchJob> {
@@ -68,15 +68,6 @@ fn sampled_counts_are_identical_across_batch_policies_and_defaults() {
     let jobs = qaoa_like_jobs();
     let plan = ShotPlan::uniform(jobs.len(), 5000);
     let trie = exec.run_batch_sampled(&jobs, &plan, 7);
-    let perjob = exec
-        .clone()
-        .with_batch_policy(BatchPolicy::PerJob)
-        .expect("per-job policy is valid")
-        .run_batch_sampled(&jobs, &plan, 7);
-    assert_eq!(
-        trie, perjob,
-        "Trie and PerJob sampling must agree bit-for-bit"
-    );
     let defaults = DefaultsOnly(exec).run_batch_sampled(&jobs, &plan, 7);
     assert_eq!(trie, defaults, "trait-default path must agree bit-for-bit");
 }
@@ -91,31 +82,6 @@ fn sampler_is_invariant_to_worker_thread_count() {
         let many = sample_counts_deterministic(&dist, shots, 123, 8);
         assert_eq!(one, many, "{shots} shots");
         assert_eq!(one.shots(), shots as u64);
-    }
-}
-
-#[test]
-fn zero_live_state_budget_is_rejected_at_config_time() {
-    // Regression: a zero budget used to be clamped silently deep in the
-    // trie walk, degrading to replay-everything with no signal.
-    let err = executor()
-        .with_batch_policy(BatchPolicy::Trie {
-            max_live_states: Some(0),
-        })
-        .unwrap_err();
-    assert_eq!(err, BatchConfigError::ZeroLiveStateBudget);
-    assert!(err.to_string().contains("max_live_states"), "{err}");
-    // Every valid shape still configures.
-    for policy in [
-        BatchPolicy::Trie {
-            max_live_states: Some(1),
-        },
-        BatchPolicy::Trie {
-            max_live_states: None,
-        },
-        BatchPolicy::PerJob,
-    ] {
-        assert!(executor().with_batch_policy(policy).is_ok(), "{policy:?}");
     }
 }
 

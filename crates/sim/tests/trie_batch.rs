@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use qt_circuit::{Circuit, Gate};
 use qt_math::states::PrepState;
 use qt_sim::{
-    Backend, BatchJob, BatchPolicy, Executor, NoiseModel, Program, RunOutput, Runner,
-    TrajectoryConfig,
+    Backend, BatchJob, Executor, NoiseModel, Program, RunOutput, Runner, TrajectoryConfig,
 };
 
 fn arb_gate(n: usize) -> impl Strategy<Value = (Gate, Vec<usize>)> {
@@ -98,20 +97,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Density-matrix engine: trie-scheduled batches equal the serial
-    /// loop bit for bit, for every checkpoint budget.
+    /// loop bit for bit, at the executor's derived checkpoint budget and
+    /// at the tight budgets 1 and 2 of a direct trie walk.
     #[test]
     fn trie_matches_serial_on_density_matrix(jobs in arb_batch(4)) {
-        let exec = Executor::with_backend(
-            NoiseModel::depolarizing(0.004, 0.03).with_readout(0.02),
-            Backend::DensityMatrix,
-        );
-        let reference = serial(&exec, &jobs);
-        for budget in [None, Some(1), Some(2)] {
-            let trie = exec
-                .clone()
-                .with_batch_policy(BatchPolicy::Trie { max_live_states: budget })
-                .expect("nonzero budgets are valid");
-            assert_identical(&trie.run_batch(&jobs), &reference);
+        use qt_sim::backend::BackendEngine;
+        use qt_sim::{DensityMatrixEngine, ExecutionTrie};
+        use std::sync::Arc;
+
+        let noise = NoiseModel::depolarizing(0.004, 0.03).with_readout(0.02);
+        let exec = Executor::with_backend(noise.clone(), Backend::DensityMatrix);
+        assert_identical(&exec.run_batch(&jobs), &serial(&exec, &jobs));
+
+        let engine = DensityMatrixEngine;
+        let programs: Vec<&Program> = jobs.iter().map(|j| &j.program).collect();
+        let measured: Vec<Vec<usize>> = jobs.iter().map(|j| j.measured.clone()).collect();
+        let reference: Vec<_> = jobs
+            .iter()
+            .map(|j| Some(engine.raw_distribution(&j.program, &noise, &j.measured)))
+            .collect();
+        let trie = ExecutionTrie::build(&programs);
+        // The class is fixed by the density-matrix representation, so any
+        // job's profile yields it.
+        let class = engine
+            .fork_class(&noise, jobs[0].profile())
+            .expect("DM engine is fork-capable");
+        let noise = Arc::new(noise);
+        let init = move || engine.snapshot(4, &noise, class).expect("DM snapshot exists");
+        for budget in [1, 2] {
+            let (dists, _) = trie.execute(&init, &measured, budget);
+            assert_eq!(dists, reference, "budget {budget}");
         }
     }
 
