@@ -297,9 +297,8 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 /// The no-sharing baseline of the `batch` and `shots` groups: one
-/// `Runner::run` per job, whole jobs fanned out over scoped threads under
-/// `batch_split` (the density-matrix engine takes no thread budget, so
-/// each job runs on its worker alone).
+/// `Runner::run` per job, whole jobs fanned out over scoped threads on the
+/// whole machine (each job runs on its worker alone).
 struct PerJob(Executor);
 
 impl qt_sim::Runner for PerJob {
@@ -308,8 +307,8 @@ impl qt_sim::Runner for PerJob {
     }
 
     fn run_batch(&self, jobs: &[qt_sim::BatchJob]) -> Vec<qt_sim::RunOutput> {
-        let (workers, _) = qt_sim::backend::batch_split(jobs.len());
-        qt_sim::backend::parallel_indexed(jobs.len(), workers, |i| {
+        let threads = qt_sim::backend::available_threads();
+        qt_sim::backend::parallel_indexed(jobs.len(), threads, |i| {
             self.0.run(&jobs[i].program, &jobs[i].measured)
         })
     }

@@ -168,9 +168,9 @@ impl Runner for DeviceExecutor {
         }
     }
 
-    /// Transpiles every job (in parallel, under the shared
-    /// [`backend::batch_split`] policy; layout trials are seeded, so
-    /// results match serial execution exactly), then groups the compacted
+    /// Transpiles every job (in parallel over
+    /// [`backend::parallel_indexed`]; layout trials are seeded, so results
+    /// match serial execution exactly), then groups the compacted
     /// physical programs by their backing qubit set and executes each
     /// group as one batch on an inner [`Executor`] — whose default
     /// prefix-sharing trie path (`qt_sim::trie`) evolves physically-equal
@@ -181,9 +181,8 @@ impl Runner for DeviceExecutor {
         if jobs.is_empty() {
             return Vec::new();
         }
-        let (workers, _) = backend::batch_split(jobs.len());
         let transpiled: Vec<Transpiled> =
-            backend::parallel_indexed(jobs.len(), workers.max(1), |i| {
+            backend::parallel_indexed(jobs.len(), backend::available_threads(), |i| {
                 self.transpile(&jobs[i].program, &jobs[i].measured)
             });
         self.execute_transpiled(transpiled)
@@ -198,9 +197,8 @@ impl Runner for DeviceExecutor {
         if jobs.is_empty() {
             return Vec::new();
         }
-        let (workers, _) = backend::batch_split(jobs.len());
         let transpiled: Vec<Result<Transpiled, RunError>> =
-            backend::parallel_indexed(jobs.len(), workers.max(1), |i| {
+            backend::parallel_indexed(jobs.len(), backend::available_threads(), |i| {
                 self.try_transpile(&jobs[i].program, &jobs[i].measured)
             });
         let ok_idx: Vec<usize> = transpiled
@@ -245,47 +243,32 @@ impl DeviceExecutor {
             by_register.entry(physical.clone()).or_default().push(i);
         }
         let groups: Vec<(Vec<usize>, Vec<usize>)> = by_register.into_iter().collect();
-        let run_group = |physical: &[usize], idxs: &[usize], backend: Backend| {
+        // A lone group runs on the caller, so the inner executor's work
+        // pool keeps the whole machine; several groups each run on a
+        // worker, where the inner pool runs serially.
+        let results = backend::parallel_indexed(groups.len(), backend::available_threads(), |g| {
+            let (physical, idxs) = &groups[g];
             let mut noise = self.device.noise_model_for(physical);
             if self.twirl_large_registers {
                 // As in `run`: skip the twirl (an optimization) when the
                 // model carries an untwirlable channel.
-                if let ResolvedEngine::Trajectory(_) = backend.resolve(physical.len()) {
+                if let ResolvedEngine::Trajectory(_) = self.backend.resolve(physical.len()) {
                     if let Ok(twirled) = noise.pauli_twirled() {
                         noise = twirled;
                     }
                 }
             }
-            let exec = Executor::with_backend(noise, backend);
+            let exec = Executor::with_backend(noise, self.backend);
             let group_jobs: Vec<BatchJob> = idxs
                 .iter()
                 .map(|&i| BatchJob::new(transpiled[i].0.clone(), transpiled[i].2.clone()))
                 .collect();
             exec.run_batch(&group_jobs)
-        };
-        // A lone group keeps the inner executor's own fan-out (trie
-        // subtrees, trajectory workers); multiple groups split the
-        // machine between groups instead — inside those workers every
-        // nested batch_split degrades to a serial walk, so the device
-        // path never oversubscribes but also never regresses to one
-        // group after another on an idle machine.
+        });
         let mut out: Vec<Option<RunOutput>> = vec![None; transpiled.len()];
-        let (group_workers, inner) = backend::batch_split(groups.len());
-        if groups.len() == 1 || group_workers <= 1 {
-            for (physical, idxs) in &groups {
-                for (&i, o) in idxs.iter().zip(run_group(physical, idxs, self.backend)) {
-                    out[i] = Some(o);
-                }
-            }
-        } else {
-            let budgeted = self.backend.with_thread_budget(inner);
-            let results = backend::parallel_indexed(groups.len(), group_workers, |g| {
-                run_group(&groups[g].0, &groups[g].1, budgeted)
-            });
-            for ((_, idxs), outs) in groups.iter().zip(results) {
-                for (&i, o) in idxs.iter().zip(outs) {
-                    out[i] = Some(o);
-                }
+        for ((_, idxs), outs) in groups.iter().zip(results) {
+            for (&i, o) in idxs.iter().zip(outs) {
+                out[i] = Some(o);
             }
         }
         out.into_iter()

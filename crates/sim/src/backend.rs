@@ -77,9 +77,10 @@ pub trait BackendEngine: Send + Sync + std::fmt::Debug {
     ) -> Distribution;
 
     /// The engine's fork-capability class for a job with the given shape,
-    /// or `None` when the engine must run whole jobs (stochastic
-    /// trajectory sampling draws one RNG stream per program and cannot
-    /// split mid-evolution). Jobs with equal `(register size, class)` may
+    /// or `None` when the engine must run whole programs (stochastic
+    /// trajectory sampling draws each stream's RNG through the whole
+    /// program and cannot split mid-evolution; a batch schedules its
+    /// streams instead). Jobs with equal `(register size, class)` may
     /// share one [`EngineState`] evolution; the class therefore encodes
     /// every state-representation choice the engine makes (pure state vs
     /// density matrix vs stabilizer tableau vs sparse map), which is why it
@@ -218,7 +219,7 @@ impl BackendEngine for DensityMatrixEngine {
 }
 
 /// Fork class of a density-matrix representation.
-const FORK_CLASS_DM: u8 = 0;
+pub(crate) const FORK_CLASS_DM: u8 = 0;
 /// Fork class of a pure-state representation.
 const FORK_CLASS_PURE: u8 = 1;
 /// Fork class of a stabilizer-tableau representation.
@@ -560,31 +561,6 @@ impl Backend {
         }
         self.resolve(n_qubits)
     }
-
-    /// Caps the *internal* worker-thread budget of any trajectory engine.
-    /// Batch executors use this to hand each concurrent job a slice of the
-    /// machine instead of oversubscribing it.
-    pub fn with_thread_budget(self, threads: usize) -> Backend {
-        let cap = threads.max(1);
-        let clamp = |mut cfg: TrajectoryConfig| {
-            cfg.n_threads = Some(cfg.n_threads.unwrap_or(usize::MAX).min(cap));
-            cfg
-        };
-        match self {
-            Backend::Auto {
-                dm_max_qubits,
-                trajectories,
-            } => Backend::Auto {
-                dm_max_qubits,
-                trajectories: clamp(trajectories),
-            },
-            Backend::DensityMatrix => Backend::DensityMatrix,
-            Backend::Statevector => Backend::Statevector,
-            Backend::Stabilizer => Backend::Stabilizer,
-            Backend::Sparse => Backend::Sparse,
-            Backend::Trajectory(cfg) => Backend::Trajectory(clamp(cfg)),
-        }
-    }
 }
 
 /// A [`Backend`] resolved against a concrete register size.
@@ -685,74 +661,95 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The one batch-scheduling policy every batch executor shares: splits the
-/// machine between `n_jobs` concurrent jobs, returning `(workers,
-/// inner_budget)` — how many jobs run at once and the worker-thread budget
-/// each job's own engine may use. `workers <= 1` means "run serially".
-///
-/// Inside an already-parallel worker (a batch executor nested in another
-/// batch executor's fan-out, e.g. a per-register group inside the device
-/// executor) the split is `(1, 1)`: the caller already owns exactly its
-/// share of the machine, and fanning out again would oversubscribe it.
-pub fn batch_split(n_jobs: usize) -> (usize, usize) {
-    if in_parallel_worker() {
-        return (1, 1);
-    }
-    let cores = available_threads();
-    (cores.min(n_jobs), (cores / n_jobs.max(1)).max(1))
-}
-
 std::thread_local! {
-    /// Whether the current thread is a `parallel_indexed` worker. Nested
-    /// parallel regions (e.g. a per-gate kernel fan-out inside a trajectory
-    /// worker) would oversubscribe the machine, so helpers consult this to
-    /// stay serial inside an already-parallel context.
+    /// Whether the current thread is a `parallel_indexed` worker.
     static IN_PARALLEL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Whether the calling thread is already inside a [`parallel_indexed`]
-/// worker (in which case further fan-out should stay serial).
-pub fn in_parallel_worker() -> bool {
+/// worker.
+fn in_parallel_worker() -> bool {
     IN_PARALLEL_WORKER.with(|c| c.get())
 }
 
-/// Runs `f(0..n)` on up to `threads` scoped worker threads (work-stealing
-/// by atomic index) and returns the results in index order. Falls back to
-/// a serial loop for a single thread or item.
+/// Marks the calling thread as a [`parallel_indexed`] worker while it
+/// drains its own call, and unmarks it on drop, unwinding included.
+struct CallerWorker;
+
+impl CallerWorker {
+    fn enter() -> Self {
+        IN_PARALLEL_WORKER.with(|c| c.set(true));
+        CallerWorker
+    }
+}
+
+impl Drop for CallerWorker {
+    fn drop(&mut self) {
+        IN_PARALLEL_WORKER.with(|c| c.set(false));
+    }
+}
+
+/// Runs `f(0..n)` on up to `threads` workers (work-stealing by atomic
+/// index) and returns the results in index order. The calling thread is
+/// the first worker, beside up to `threads − 1` scoped threads, so a call
+/// spawns one thread fewer than it uses and leaves no thread idle in
+/// `join`. Falls back to a serial loop for a single thread or item.
+///
+/// The one nesting rule of every parallel path: called from one of its
+/// own workers, it runs serially on that worker. A batch's work pool
+/// therefore owns the machine, and the engines, kernels and samplers its
+/// items call stay serial inside it; called from outside any worker (a
+/// one-item batch, a standalone run), they fan out themselves.
+///
+/// A panicking item re-raises its own payload on the caller once every
+/// worker has stopped, as the serial loop does.
 pub fn parallel_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let workers = threads.min(n);
-    if workers <= 1 {
+    if workers <= 1 || in_parallel_worker() {
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i)));
+        }
+        local
+    };
     let mut parts: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
+    let mut panic = None;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..workers)
             .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
+                scope.spawn(|| {
                     IN_PARALLEL_WORKER.with(|c| c.set(true));
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
+                    drain()
                 })
             })
             .collect();
+        let caller = CallerWorker::enter();
+        parts.push(drain());
+        drop(caller);
         for h in handles {
-            parts.push(h.join().expect("parallel worker panicked"));
+            match h.join() {
+                Ok(part) => parts.push(part),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
         }
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for (i, v) in parts.into_iter().flatten() {
         out[i] = Some(v);
@@ -813,6 +810,34 @@ mod tests {
     fn parallel_indexed_serial_fallback() {
         assert_eq!(parallel_indexed(3, 1, |i| i + 1), vec![1, 2, 3]);
         assert_eq!(parallel_indexed(0, 8, |i| i), Vec::<usize>::new());
+        // Nested inside a worker, every item runs on that worker's thread.
+        let nested = parallel_indexed(2, 2, |_| {
+            let outer = std::thread::current().id();
+            parallel_indexed(8, 8, |_| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == outer)
+        });
+        assert_eq!(nested, vec![true, true]);
+    }
+
+    #[test]
+    fn parallel_indexed_propagates_the_item_panic() {
+        for threads in [1, 2] {
+            let payload = std::panic::catch_unwind(|| {
+                parallel_indexed(4, threads, |i| {
+                    if i == 3 {
+                        panic!("boom at item {i}");
+                    }
+                    i
+                })
+            })
+            .expect_err("item 3 panics");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("boom at item 3"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -840,31 +865,5 @@ mod tests {
         assert!(matches!(b.resolve(6), ResolvedEngine::Trajectory(_)));
         assert_eq!(b.resolve(5).name(), "density-matrix");
         assert_eq!(b.resolve(6).name(), "trajectory");
-    }
-
-    #[test]
-    fn thread_budget_clamps_only_trajectories() {
-        let cfg = TrajectoryConfig {
-            n_trajectories: 100,
-            seed: 1,
-            n_threads: None,
-        };
-        match Backend::Trajectory(cfg).with_thread_budget(2) {
-            Backend::Trajectory(c) => assert_eq!(c.n_threads, Some(2)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match Backend::Trajectory(TrajectoryConfig {
-            n_threads: Some(1),
-            ..cfg
-        })
-        .with_thread_budget(4)
-        {
-            Backend::Trajectory(c) => assert_eq!(c.n_threads, Some(1), "never raises"),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(
-            Backend::DensityMatrix.with_thread_budget(1),
-            Backend::DensityMatrix
-        );
     }
 }

@@ -11,17 +11,18 @@
 //! `preps × bases` independent circuits. [`Runner::run_batch`] is the
 //! throughput path for those — the default implementation is a serial
 //! loop, and [`Executor`] overrides it to fold the jobs into
-//! prefix-sharing execution tries whose independent subtrees (and
-//! non-forkable jobs) fan out over scoped threads, with the machine's
-//! parallelism split between them and each job's internal trajectory
-//! workers.
+//! prefix-sharing execution tries, then drains one work pool per batch:
+//! every independent trie subtree and every stream of every trajectory
+//! job is an item, and the items start heaviest first on the whole
+//! machine.
 
-use crate::backend::{self, BackendEngine, EngineState};
+use crate::backend::{self, BackendEngine, EngineState, ResolvedEngine};
 use crate::classify::ProgramProfile;
 use crate::density::DensityMatrix;
 use crate::noise::{apply_readout, NoiseModel};
 use crate::program::{Op, Program};
 use crate::statevector::StateVector;
+use crate::trajectory::{self, TrajectoryConfig, TrajectoryRun};
 use crate::trie::{ExecutionTrie, TrieStats};
 use qt_dist::{Counts, Distribution};
 use std::collections::BTreeMap;
@@ -211,8 +212,7 @@ fn fan_out_jobs<T: Send>(n_jobs: usize, shots: &ShotPlan, f: impl Fn(usize) -> T
         shots.n_jobs(),
         "shot plan covers a different number of jobs than submitted"
     );
-    let (workers, _) = backend::batch_split(n_jobs);
-    backend::parallel_indexed(n_jobs, workers, f)
+    backend::parallel_indexed(n_jobs, backend::available_threads(), f)
 }
 
 /// Samples `shots` outcomes from a [`Distribution`] in a fixed number of
@@ -700,8 +700,8 @@ impl Runner for Executor {
     /// Executes the batch on the prefix-sharing trie path — the
     /// executor's one batch path: every common op prefix across jobs is
     /// evolved once (bit-identical to per-job execution — see
-    /// [`crate::trie`]), with parallelism split across independent trie
-    /// subtrees under the shared [`backend::batch_split`] policy.
+    /// [`crate::trie`]), and one work pool runs the independent trie
+    /// subtrees and every trajectory stream, heaviest first.
     fn run_batch(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
         self.run_batch_trie(jobs)
     }
@@ -711,12 +711,36 @@ impl Runner for Executor {
     }
 }
 
-/// One independent unit of scheduled batch work: a trie subtree (shared
-/// prefixes inside, nothing shared across subtrees) or a whole fallback
+/// One item of a batch's work pool: a trie root subtree (shared prefixes
+/// inside, nothing shared across subtrees) or one stream of a trajectory
 /// job.
-enum BatchUnit {
+enum PoolItem {
     Subtree { group: usize, child: usize },
-    Fallback { job: usize },
+    Stream { job: usize, stream: usize },
+}
+
+/// The static work estimate that orders a batch's work pool, heaviest
+/// first: `ops` op applications on a state of `n_qubits` qubits, each
+/// costed as one pass over the state's amplitudes — 4ⁿ of them for a
+/// density matrix, 2ⁿ for every other representation.
+fn work_estimate(ops: usize, n_qubits: usize, density_matrix: bool) -> f64 {
+    let amplitude_bits = if density_matrix {
+        2 * n_qubits
+    } else {
+        n_qubits
+    };
+    ops as f64 * (amplitude_bits as f64).exp2()
+}
+
+/// A trajectory job of a batch's work pool. Its run is prepared when its
+/// first stream starts and finished when its last stream folds.
+struct TrajectoryJob<'a> {
+    /// Batch index.
+    job: usize,
+    program: &'a Program,
+    measured: &'a [usize],
+    config: TrajectoryConfig,
+    run: OnceLock<TrajectoryRun<'a>>,
 }
 
 /// One fork-capable batch group: jobs whose compacted programs share a
@@ -732,7 +756,7 @@ struct BatchGroup {
     /// The engine the group's jobs resolved to. A fork class pins the
     /// state representation, so any engine producing the same class yields
     /// bit-identical snapshots — the first job's engine stands for all.
-    engine: crate::backend::ResolvedEngine,
+    engine: ResolvedEngine,
 }
 
 /// A noisy-circuit executor.
@@ -784,10 +808,10 @@ impl Executor {
     /// Per job, the same compaction the serial path applies yields the
     /// program the engine actually simulates; jobs whose resolved engine
     /// offers a fork class are grouped by `(register size, class)` and
-    /// folded into execution tries, everything else (trajectory engines)
-    /// falls back to per-job execution. Readout error and gate statistics
-    /// use the *original* job, exactly as [`Executor::run`] does, so the
-    /// outputs are bit-identical to the serial loop.
+    /// folded into execution tries, and the rest (trajectory engines) run
+    /// stream by stream. Readout error and gate statistics use the
+    /// *original* job, exactly as [`Executor::run`] does, so the outputs
+    /// are bit-identical to the serial loop.
     fn run_batch_trie(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
         if jobs.is_empty() {
             return Vec::new();
@@ -803,13 +827,13 @@ impl Executor {
         let measured_of =
             |i: usize| -> &[usize] { prepared[i].as_ref().map_or(&jobs[i].measured, |(_, m)| m) };
 
-        // Stage 2: partition into fork-capable groups and fallback jobs.
+        // Stage 2: partition into fork-capable groups and trajectory jobs.
         // Engine selection uses the cached job profile (structure is
         // invariant under compaction's qubit renaming) with the register
         // size of the program actually simulated.
         let mut by_class: BTreeMap<(usize, u8), Vec<usize>> = BTreeMap::new();
-        let mut fallback: Vec<usize> = Vec::new();
-        let mut resolved: Vec<Option<crate::backend::ResolvedEngine>> = vec![None; jobs.len()];
+        let mut trajectory_jobs: Vec<TrajectoryJob> = Vec::new();
+        let mut resolved: Vec<Option<ResolvedEngine>> = vec![None; jobs.len()];
         for i in 0..jobs.len() {
             let p = program_of(i);
             let profile = ProgramProfile {
@@ -819,12 +843,19 @@ impl Executor {
             let engine = self
                 .backend
                 .resolve_for(p.n_qubits(), &self.noise, &profile);
-            match engine.fork_class(&self.noise, &profile) {
-                Some(class) => {
+            match (engine.fork_class(&self.noise, &profile), engine) {
+                (Some(class), _) => {
                     resolved[i] = Some(engine);
                     by_class.entry((p.n_qubits(), class)).or_default().push(i);
                 }
-                None => fallback.push(i),
+                (None, ResolvedEngine::Trajectory(t)) => trajectory_jobs.push(TrajectoryJob {
+                    job: i,
+                    program: p,
+                    measured: measured_of(i),
+                    config: t.config,
+                    run: OnceLock::new(),
+                }),
+                (None, _) => unreachable!("only the trajectory engine lacks a fork class"),
             }
         }
         let groups: Vec<BatchGroup> = by_class
@@ -845,18 +876,6 @@ impl Executor {
             })
             .collect();
 
-        // Stage 3: schedule. Units are independent trie subtrees plus the
-        // fallback jobs; the machine is split across units, serial walks
-        // within each.
-        let mut units: Vec<BatchUnit> = Vec::new();
-        for (gi, g) in groups.iter().enumerate() {
-            for &child in g.trie.root_children() {
-                units.push(BatchUnit::Subtree { group: gi, child });
-            }
-        }
-        for &job in &fallback {
-            units.push(BatchUnit::Fallback { job });
-        }
         // One shared noise-model handle for every snapshot of the batch.
         let noise_arc = std::sync::Arc::new(self.noise.clone());
         let snapshot_of = |g: &BatchGroup| {
@@ -871,7 +890,6 @@ impl Executor {
         };
 
         let mut raw: Vec<Option<Distribution>> = vec![None; jobs.len()];
-        let mut outs: Vec<Option<RunOutput>> = vec![None; jobs.len()];
 
         // Jobs with empty compacted programs end at the trie root and are
         // measured inline on a fresh state.
@@ -882,62 +900,72 @@ impl Executor {
             }
         }
 
-        // `parallel_indexed` degrades to a plain serial map for a single
-        // worker, so one scheduling path serves both shapes; fallback
-        // thread budgets only clamp below the full machine when several
-        // units actually run at once (trajectory results are thread-count
-        // invariant either way).
-        let (workers, inner) = backend::batch_split(units.len());
-        let per_job = Executor {
-            noise: self.noise.clone(),
-            backend: self.backend.with_thread_budget(inner),
-        };
-        enum UnitOutcome {
-            Trie(Vec<(usize, Distribution)>),
-            Job(usize, RunOutput),
+        // Stage 3: one work pool. Its items are the independent trie
+        // subtrees and every trajectory stream, started heaviest first by
+        // `work_estimate` under a stable sort. Every stream of a job carries
+        // the job's full-stream estimate, so a job's streams stay adjacent
+        // and in stream order: the fold rarely waits, and each worker holds
+        // the buffers of about one trajectory job at a time. Inside the
+        // pool's workers every nested fan-out runs serially.
+        let mut items: Vec<(f64, PoolItem)> = Vec::new();
+        for (gi, g) in groups.iter().enumerate() {
+            let density_matrix = g.class == backend::FORK_CLASS_DM;
+            for &child in g.trie.root_children() {
+                let work = work_estimate(g.trie.subtree_ops(child), g.n_qubits, density_matrix);
+                items.push((work, PoolItem::Subtree { group: gi, child }));
+            }
         }
-        let results = backend::parallel_indexed(units.len(), workers.max(1), |u| match &units[u] {
-            BatchUnit::Subtree { group, child } => {
-                let g = &groups[*group];
-                let init = snapshot_of(g);
-                let init: &(dyn Fn() -> Box<dyn EngineState> + Sync) = &init;
-                let (dists, _) =
-                    g.trie
-                        .execute_subtree(*child, init, &g.measured, auto_live_states(g.n_qubits));
-                UnitOutcome::Trie(
+        for (ti, t) in trajectory_jobs.iter().enumerate() {
+            let (streams, chunk) = trajectory::stream_layout(t.config.n_trajectories);
+            let work = work_estimate(chunk * t.program.ops().len(), t.program.n_qubits(), false);
+            items.extend((0..streams).map(|stream| (work, PoolItem::Stream { job: ti, stream })));
+        }
+        items.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let finished = backend::parallel_indexed(items.len(), backend::available_threads(), |k| {
+            match items[k].1 {
+                PoolItem::Subtree { group, child } => {
+                    let g = &groups[group];
+                    let init = snapshot_of(g);
+                    let init: &(dyn Fn() -> Box<dyn EngineState> + Sync) = &init;
+                    let (dists, _) = g.trie.execute_subtree(
+                        child,
+                        init,
+                        &g.measured,
+                        auto_live_states(g.n_qubits),
+                    );
                     dists
                         .into_iter()
                         .enumerate()
                         .filter_map(|(local, d)| d.map(|d| (g.jobs[local], d)))
-                        .collect(),
-                )
-            }
-            BatchUnit::Fallback { job } => {
-                UnitOutcome::Job(*job, per_job.run(&jobs[*job].program, &jobs[*job].measured))
-            }
-        });
-        for r in results {
-            match r {
-                UnitOutcome::Trie(hits) => {
-                    for (job, dist) in hits {
-                        raw[job] = Some(dist);
+                        .collect()
+                }
+                PoolItem::Stream { job, stream } => {
+                    let t = &trajectory_jobs[job];
+                    let run = t.run.get_or_init(|| {
+                        TrajectoryRun::new(t.program, &self.noise, t.measured, &t.config)
+                    });
+                    if run.run_stream(stream) {
+                        vec![(t.job, run.finish())]
+                    } else {
+                        Vec::new()
                     }
                 }
-                UnitOutcome::Job(job, out) => outs[job] = Some(out),
             }
+        });
+        for (job, dist) in finished.into_iter().flatten() {
+            raw[job] = Some(dist);
         }
 
         // Stage 4: readout + gate statistics from the original jobs.
         jobs.iter()
-            .enumerate()
-            .map(|(i, job)| match (outs[i].take(), raw[i].take()) {
-                (Some(out), _) => out,
-                (None, Some(dist)) => RunOutput {
+            .zip(raw)
+            .map(|(job, dist)| {
+                let dist = dist.expect("every batch job is scheduled exactly once");
+                RunOutput {
                     dist: apply_readout(&dist, &job.measured, &self.noise.readout),
                     gates: job.program.gate_count(),
                     two_qubit_gates: job.program.two_qubit_gate_count(),
-                },
-                (None, None) => unreachable!("every batch job is scheduled exactly once"),
+                }
             })
             .collect()
     }
@@ -966,7 +994,7 @@ impl Executor {
     /// The engine [`Backend::resolve_for`] picks for a concrete program —
     /// the one definition the serial path, the trie partition and the
     /// engine-mix report all share.
-    fn resolve_engine(&self, program: &Program) -> crate::backend::ResolvedEngine {
+    fn resolve_engine(&self, program: &Program) -> ResolvedEngine {
         let profile = ProgramProfile::of(program);
         self.backend
             .resolve_for(program.n_qubits(), &self.noise, &profile)
@@ -1137,7 +1165,6 @@ fn compact(program: &Program, measured: &[usize]) -> Option<(Program, Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trajectory::TrajectoryConfig;
     use qt_circuit::Circuit;
 
     #[test]
@@ -1227,15 +1254,7 @@ mod tests {
             .iter()
             .map(|j| exec.run(&j.program, &j.measured))
             .collect();
-        assert_eq!(batched.len(), serial.len());
-        for (b, s) in batched.iter().zip(&serial) {
-            assert_eq!(b.gates, s.gates);
-            assert_eq!(b.two_qubit_gates, s.two_qubit_gates);
-            for i in 0..8 {
-                let (x, y) = (b.dist.prob(i), s.dist.prob(i));
-                assert!((x - y).abs() < 1e-12, "batch {x} vs serial {y}");
-            }
-        }
+        assert_eq!(batched, serial);
     }
 
     #[test]
@@ -1260,12 +1279,7 @@ mod tests {
             .iter()
             .map(|j| exec.run(&j.program, &j.measured))
             .collect();
-        for (b, s) in batched.iter().zip(&serial) {
-            for i in 0..4 {
-                let (x, y) = (b.dist.prob(i), s.dist.prob(i));
-                assert!((x - y).abs() < 1e-12, "batch {x} vs serial {y}");
-            }
-        }
+        assert_eq!(batched, serial);
     }
 
     #[test]

@@ -411,16 +411,15 @@ pub fn apply_classified(amps: &mut [Complex], n: usize, class: &KernelClass, qs:
 /// indices preserve). Each amplitude is written exactly once from fixed
 /// inputs, so the result is bit-identical for every worker count.
 ///
-/// Two situations stay serial by design: gates whose highest operand is a
-/// top qubit (the period reaches the array length, leaving a single slab),
-/// and calls made from inside a `parallel_indexed` worker (a trajectory or
-/// batch job already owns its share of the machine; fanning out again per
-/// gate would oversubscribe it).
+/// Gates whose highest operand is a top qubit stay serial by design (the
+/// period reaches the array length, leaving a single slab). Called from
+/// inside a `parallel_indexed` worker (a batch's work pool), the fan-out
+/// runs serially on that worker.
 fn for_each_slab<F>(amps: &mut [Complex], period: usize, kernel: F)
 where
     F: Fn(&mut [Complex]) + Sync,
 {
-    let threads = if amps.len() >= PARALLEL_MIN_AMPS && !crate::backend::in_parallel_worker() {
+    let threads = if amps.len() >= PARALLEL_MIN_AMPS {
         available_threads()
     } else {
         1

@@ -12,16 +12,18 @@
 //!   probabilistic mixtures of unitaries, the per-trajectory error pattern is
 //!   sampled *before* touching the state. All-identity patterns contribute
 //!   the (precomputed) ideal distribution without simulating.
-//! * **Thread fan-out** — trajectories are embarrassingly parallel and are
-//!   distributed over scoped `std::thread` workers. Trajectories are dealt
-//!   into a fixed number of independently seeded *streams* which the
-//!   workers drain and fold into the total in stream order, so the result
-//!   depends only on the configured seed, never on the machine's core
-//!   count.
+//! * **Stream fan-out** — trajectories are embarrassingly parallel. They
+//!   are dealt into a fixed number of independently seeded *streams*,
+//!   folded into the total in stream order, so the result depends only on
+//!   the configured seed, never on the machine's core count or the
+//!   schedule. A standalone [`run_distribution`] drains the streams over
+//!   scoped `std::thread` workers; inside a batch, every stream is one
+//!   item of the executor's work pool, beside the other jobs' streams and
+//!   the trie subtrees.
 
 use crate::backend::{available_threads, parallel_indexed};
 use crate::kernel::KernelClass;
-use crate::noise::NoiseModel;
+use crate::noise::{KrausChannel, NoiseModel};
 use crate::program::{Op, Program};
 use crate::statevector::StateVector;
 use qt_dist::Distribution;
@@ -41,7 +43,9 @@ pub struct TrajectoryConfig {
     pub n_trajectories: usize,
     /// RNG seed (trajectories are deterministic given the seed).
     pub seed: u64,
-    /// Worker threads (`None` = available parallelism).
+    /// Worker threads of a standalone [`run_distribution`] (`None` =
+    /// available parallelism). Inside a batch the executor's work pool
+    /// schedules the streams instead.
     pub n_threads: Option<usize>,
 }
 
@@ -73,108 +77,167 @@ impl TrajectoryConfig {
 
 /// Runs `program` under `noise` and returns the averaged outcome
 /// distribution over `measured` (bit `i` of the result index = `measured[i]`),
-/// *before* readout error.
+/// *before* readout error. The streams fan out over up to `cfg.n_threads`
+/// workers.
 pub fn run_distribution(
     program: &Program,
     noise: &NoiseModel,
     measured: &[usize],
     cfg: &TrajectoryConfig,
 ) -> Distribution {
-    // Trajectory averaging accumulates into a flat `2^|measured|` buffer;
-    // wide measurement lists belong to the sparse/stabilizer engines.
-    assert!(
-        measured.len() <= crate::executor::MAX_MEASURED_BITS,
-        "trajectory readout allocates a dense outcome table: {} measured bits exceeds the \
-         {}-bit cap",
-        measured.len(),
-        crate::executor::MAX_MEASURED_BITS
-    );
-    let dim = 1usize << measured.len();
+    let run = TrajectoryRun::new(program, noise, measured, cfg);
     let n_threads = cfg.n_threads.unwrap_or_else(available_threads).max(1);
+    parallel_indexed(run.streams, n_threads, |s| run.run_stream(s));
+    run.finish()
+}
 
-    // Resolve channel applications once per op.
-    let resolved: Vec<Vec<(Vec<usize>, crate::noise::KrausChannel)>> = program
-        .ops()
-        .iter()
-        .map(|op| match op {
-            Op::Gate(i) => noise
-                .channels_for(i)
-                .into_iter()
-                .map(|(qs, ch)| (qs, ch.clone()))
-                .collect(),
-            Op::IdealGate(_) | Op::Reset { .. } => Vec::new(),
-        })
-        .collect();
+/// The stream layout of `n_trajectories` trajectories: `(streams, chunk)`,
+/// stream `s` running trajectories `s·chunk .. min((s + 1)·chunk, n)`. A
+/// function of the trajectory count alone, so neither the layout nor any
+/// stream's seed depends on the machine or the scheduler.
+pub(crate) fn stream_layout(n_trajectories: usize) -> (usize, usize) {
+    let streams = STREAMS.min(n_trajectories).max(1);
+    (streams, n_trajectories.div_ceil(streams))
+}
 
-    // Classify every gate once; each of the (potentially thousands of)
-    // trajectories replays the pre-classified kernels without re-inspecting
-    // gate matrices.
-    let gate_classes: Vec<Option<(KernelClass, &[usize])>> = program
-        .ops()
-        .iter()
-        .map(|op| match op {
-            Op::Gate(i) | Op::IdealGate(i) => {
-                Some((KernelClass::for_gate(&i.gate), i.qubits.as_slice()))
-            }
-            Op::Reset { .. } => None,
-        })
-        .collect();
+/// One trajectory run, prepared once and then driven stream by stream —
+/// by [`run_distribution`]'s workers, or by a batch's work pool beside
+/// other jobs' streams and trie subtrees (`crate::Executor`'s
+/// `run_batch`). The streams may run in any order and on any thread: each
+/// seeds its own RNG from `(seed, stream)`, and a finished stream is
+/// folded into the total as soon as every lower stream is folded. That is
+/// the same left fold in stream order as summing all partials at the end,
+/// so the result is bit-identical for any schedule, but only streams that
+/// finish ahead of a lower one wait in memory.
+pub(crate) struct TrajectoryRun<'a> {
+    program: &'a Program,
+    measured: &'a [usize],
+    n_trajectories: usize,
+    seed: u64,
+    streams: usize,
+    chunk: usize,
+    /// The channel applications of every op, resolved once.
+    resolved: Vec<Vec<(Vec<usize>, &'a KrausChannel)>>,
+    /// Every gate classified once; each of the (potentially thousands of)
+    /// trajectories replays the pre-classified kernels without
+    /// re-inspecting gate matrices.
+    gate_classes: Vec<Option<(KernelClass, &'a [usize])>>,
+    /// Whether error patterns are pre-sampled (no-error stratification).
+    stratify: bool,
+    fold: Mutex<Fold>,
+}
 
-    let all_mixtures = resolved
-        .iter()
-        .flatten()
-        .all(|(_, ch)| ch.mixture_probs().is_some());
-    // Stratification needs the noiseless outcome distribution; resets are
-    // handled exactly by branching over their collapse outcomes (bounded
-    // branch count), falling back to plain sampling for reset-heavy
-    // programs.
-    let ideal_dist = if all_mixtures {
-        ideal_reset_branches(program, measured)
-    } else {
-        None
-    };
+/// The in-order fold of a [`TrajectoryRun`]'s streams.
+struct Fold {
+    /// The lowest stream not folded yet.
+    next: usize,
+    /// Finished streams waiting for a lower one: `(partial, n_ideal)`.
+    waiting: Vec<Option<(Vec<f64>, u64)>>,
+    dist: Vec<f64>,
+    /// Trajectories skipped as all-identity patterns.
+    n_ideal: u64,
+    /// The noiseless distribution stratification adds back for them.
+    ideal: Option<Vec<f64>>,
+}
 
-    // Deal trajectories into seed-stable streams and drain the streams
-    // with up to `n_threads` scoped workers. A finished stream is folded
-    // into the total as soon as every lower stream is folded: the same
-    // left fold in stream order as summing all partials at the end (so
-    // bit-identical for any worker count), but only streams that finish
-    // ahead of a lower one wait in memory.
-    struct Fold {
-        next: usize,
-        waiting: Vec<Option<(Vec<f64>, u64)>>,
-        dist: Vec<f64>,
-        n_ideal: u64,
+impl<'a> TrajectoryRun<'a> {
+    /// Resolves channels and kernel classes, computes stratification's
+    /// ideal distribution and lays out the streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `measured` exceeds [`crate::executor::MAX_MEASURED_BITS`].
+    pub(crate) fn new(
+        program: &'a Program,
+        noise: &'a NoiseModel,
+        measured: &'a [usize],
+        cfg: &TrajectoryConfig,
+    ) -> Self {
+        // Trajectory averaging accumulates into a flat `2^|measured|`
+        // buffer; wide measurement lists belong to the sparse/stabilizer
+        // engines.
+        assert!(
+            measured.len() <= crate::executor::MAX_MEASURED_BITS,
+            "trajectory readout allocates a dense outcome table: {} measured bits exceeds the \
+             {}-bit cap",
+            measured.len(),
+            crate::executor::MAX_MEASURED_BITS
+        );
+        let resolved: Vec<Vec<(Vec<usize>, &KrausChannel)>> = program
+            .ops()
+            .iter()
+            .map(|op| match op {
+                Op::Gate(i) => noise.channels_for(i),
+                Op::IdealGate(_) | Op::Reset { .. } => Vec::new(),
+            })
+            .collect();
+        let gate_classes = program
+            .ops()
+            .iter()
+            .map(|op| match op {
+                Op::Gate(i) | Op::IdealGate(i) => {
+                    Some((KernelClass::for_gate(&i.gate), i.qubits.as_slice()))
+                }
+                Op::Reset { .. } => None,
+            })
+            .collect();
+        let all_mixtures = resolved
+            .iter()
+            .flatten()
+            .all(|(_, ch)| ch.mixture_probs().is_some());
+        // Stratification needs the noiseless outcome distribution; resets
+        // are handled exactly by branching over their collapse outcomes
+        // (bounded branch count), falling back to plain sampling for
+        // reset-heavy programs.
+        let ideal = if all_mixtures {
+            ideal_reset_branches(program, measured)
+        } else {
+            None
+        };
+        let (streams, chunk) = stream_layout(cfg.n_trajectories);
+        TrajectoryRun {
+            program,
+            measured,
+            n_trajectories: cfg.n_trajectories,
+            seed: cfg.seed,
+            streams,
+            chunk,
+            resolved,
+            gate_classes,
+            stratify: ideal.is_some(),
+            fold: Mutex::new(Fold {
+                next: 0,
+                waiting: vec![None; streams],
+                dist: vec![0.0f64; 1 << measured.len()],
+                n_ideal: 0,
+                ideal,
+            }),
+        }
     }
-    let streams = STREAMS.min(cfg.n_trajectories).max(1);
-    let chunk = cfg.n_trajectories.div_ceil(streams);
-    let ideal = ideal_dist.as_deref();
-    let fold = Mutex::new(Fold {
-        next: 0,
-        waiting: vec![None; streams],
-        dist: vec![0.0f64; dim],
-        n_ideal: 0,
-    });
-    parallel_indexed(streams, n_threads, |s| {
-        let lo = s * chunk;
-        let hi = ((s + 1) * chunk).min(cfg.n_trajectories);
-        let mut acc = vec![0.0f64; dim];
+
+    /// Runs stream `s` and folds every stream the fold can now take in
+    /// order. Returns `true` when this call folded the last stream, after
+    /// which [`TrajectoryRun::finish`] may run.
+    pub(crate) fn run_stream(&self, s: usize) -> bool {
+        let lo = s * self.chunk;
+        let hi = ((s + 1) * self.chunk).min(self.n_trajectories);
+        let mut acc = vec![0.0f64; 1 << self.measured.len()];
         let mut n_ideal = 0u64;
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(s as u64 * 0x51ab_de37));
+        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(s as u64 * 0x51ab_de37));
         for _ in lo..hi {
             if run_one(
-                program,
-                &resolved,
-                &gate_classes,
-                measured,
-                ideal.is_some(),
+                self.program,
+                &self.resolved,
+                &self.gate_classes,
+                self.measured,
+                self.stratify,
                 &mut acc,
                 &mut rng,
             ) {
                 n_ideal += 1;
             }
         }
-        let mut guard = fold.lock().expect("no stream panics while folding");
+        let mut guard = self.fold.lock().expect("no stream panics while folding");
         let f = &mut *guard;
         f.waiting[s] = Some((acc, n_ideal));
         while let Some((acc, n_ideal)) = f.waiting.get_mut(f.next).and_then(Option::take) {
@@ -184,30 +247,36 @@ pub fn run_distribution(
             f.n_ideal += n_ideal;
             f.next += 1;
         }
-    });
-    let Fold {
-        mut dist,
-        n_ideal: n_ideal_total,
-        ..
-    } = fold.into_inner().expect("no stream panics while folding");
-    if let Some(ideal) = &ideal_dist {
-        for (d, &p) in dist.iter_mut().zip(ideal) {
-            *d += p * n_ideal_total as f64;
+        f.next == self.streams
+    }
+
+    /// The averaged distribution: the skipped trajectories' ideal mass
+    /// added back, then normalised. Takes the fold's buffers, so it runs
+    /// once, after every stream has folded.
+    pub(crate) fn finish(&self) -> Distribution {
+        let mut guard = self.fold.lock().expect("no stream panics while folding");
+        let f = &mut *guard;
+        debug_assert_eq!(f.next, self.streams, "finish before every stream folded");
+        let mut dist = std::mem::take(&mut f.dist);
+        if let Some(ideal) = f.ideal.take() {
+            for (d, &p) in dist.iter_mut().zip(&ideal) {
+                *d += p * f.n_ideal as f64;
+            }
         }
+        let norm = 1.0 / self.n_trajectories as f64;
+        for d in &mut dist {
+            *d *= norm;
+        }
+        Distribution::try_from_probs(self.measured.len(), dist)
+            .expect("trajectory average fits its measured bit count")
     }
-    let norm = 1.0 / cfg.n_trajectories as f64;
-    for d in &mut dist {
-        *d *= norm;
-    }
-    Distribution::try_from_probs(measured.len(), dist)
-        .expect("trajectory average fits its measured bit count")
 }
 
 /// Simulates one trajectory into `acc`. Returns `true` if the trajectory was
 /// skipped as an all-identity (ideal) pattern under stratification.
 fn run_one(
     program: &Program,
-    resolved: &[Vec<(Vec<usize>, crate::noise::KrausChannel)>],
+    resolved: &[Vec<(Vec<usize>, &KrausChannel)>],
     gate_classes: &[Option<(KernelClass, &[usize])>],
     measured: &[usize],
     stratify: bool,
@@ -280,12 +349,7 @@ fn run_one(
 }
 
 /// Samples one Kraus branch of `ch` on `qs` and applies it to `sv`.
-fn sample_channel(
-    sv: &mut StateVector,
-    ch: &crate::noise::KrausChannel,
-    qs: &[usize],
-    rng: &mut StdRng,
-) {
+fn sample_channel(sv: &mut StateVector, ch: &KrausChannel, qs: &[usize], rng: &mut StdRng) {
     if let (Some(probs), Some(units)) = (ch.mixture_probs(), ch.mixture_unitaries()) {
         let r: f64 = rng.random();
         let mut cum = 0.0;
@@ -404,7 +468,6 @@ fn is_identity_unitary(u: &Matrix) -> bool {
 mod tests {
     use super::*;
     use crate::density::DensityMatrix;
-    use crate::noise::KrausChannel;
     use qt_circuit::Circuit;
 
     fn compare_with_dm(circ: &Circuit, noise: &NoiseModel, measured: &[usize], tol: f64) {
@@ -503,13 +566,14 @@ mod tests {
         h
     }
 
-    #[test]
-    fn twelve_qubit_qaoa_ring_bits_are_pinned_for_any_thread_count() {
-        // A two-layer QAOA max-cut ring on 12 qubits, the trajectory global
-        // of the sampled QAOA workload. The constant is the hash of summing
-        // every stream's partial in stream order after all streams finish;
-        // the in-order fold must reproduce that sum bit for bit.
-        const PINNED: u64 = 0x2fa0_dff7_e913_cd7e;
+    /// The constant of the 12-qubit ring: the hash of summing every
+    /// stream's partial in stream order after all streams finish; the
+    /// in-order fold must reproduce that sum bit for bit.
+    const PINNED: u64 = 0x2fa0_dff7_e913_cd7e;
+
+    /// A two-layer QAOA max-cut ring on 12 qubits, the trajectory global of
+    /// the sampled QAOA workload, with its noise and measured qubits.
+    fn twelve_qubit_qaoa_ring() -> (Program, NoiseModel, Vec<usize>) {
         let n = 12;
         let mut c = Circuit::new(n);
         for q in 0..n {
@@ -524,9 +588,17 @@ mod tests {
                 c.rx(q, 2.0 * beta);
             }
         }
-        let prog = Program::from_circuit(&c);
-        let noise = NoiseModel::depolarizing(0.002, 0.02);
-        let measured: Vec<usize> = (0..n).collect();
+        let measured = (0..n).collect();
+        (
+            Program::from_circuit(&c),
+            NoiseModel::depolarizing(0.002, 0.02),
+            measured,
+        )
+    }
+
+    #[test]
+    fn twelve_qubit_qaoa_ring_bits_are_pinned_for_any_thread_count() {
+        let (prog, noise, measured) = twelve_qubit_qaoa_ring();
         for threads in [1, 2, 3] {
             let cfg = TrajectoryConfig {
                 n_trajectories: 320,
@@ -536,6 +608,24 @@ mod tests {
             let dist = run_distribution(&prog, &noise, &measured, &cfg);
             assert_eq!(bits_hash(&dist), PINNED, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn prepared_run_streams_in_reverse_order_keep_the_pinned_bits() {
+        // The batch pool may run a job's streams in any order: every
+        // stream but the lowest waits for the fold, and the last call
+        // completes it.
+        let (prog, noise, measured) = twelve_qubit_qaoa_ring();
+        let cfg = TrajectoryConfig {
+            n_trajectories: 320,
+            seed: 2024,
+            n_threads: None,
+        };
+        let run = TrajectoryRun::new(&prog, &noise, &measured, &cfg);
+        let completed: Vec<bool> = (0..run.streams).rev().map(|s| run.run_stream(s)).collect();
+        assert_eq!(completed.iter().filter(|&&c| c).count(), 1);
+        assert_eq!(completed.last(), Some(&true), "stream 0 completes the fold");
+        assert_eq!(bits_hash(&run.finish()), PINNED);
     }
 
     #[test]

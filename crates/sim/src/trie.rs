@@ -29,8 +29,8 @@
 //! results are bit-identical to the serial path (property-tested in
 //! `tests/trie_batch.rs`). Engines whose output is sampled from one
 //! program-wide RNG stream (trajectories) cannot split mid-program without
-//! changing the stream; they report no fork capability and fall back to
-//! per-job execution.
+//! changing the stream; they report no fork capability, and the batch
+//! executor runs their streams beside the trie subtrees instead.
 //!
 //! # Memory budget
 //!
@@ -126,7 +126,7 @@ impl ExecCounters {
 ///
 /// The root always has an empty op list (node 0), so the subtrees hanging
 /// off [`ExecutionTrie::root_children`] are fully independent units — the
-/// batch executors split parallelism across them.
+/// items the batch executor's work pool schedules.
 #[derive(Debug, Clone)]
 pub struct ExecutionTrie {
     nodes: Vec<TrieNode>,
@@ -232,6 +232,18 @@ impl ExecutionTrie {
     /// The root's children — the independent subtrees of the batch.
     pub fn root_children(&self) -> &[usize] {
         &self.nodes[0].children
+    }
+
+    /// Ops stored in the subtree under `node`, the node's own included:
+    /// what a walk of it applies, once each, when no replay is forced.
+    pub(crate) fn subtree_ops(&self, node: usize) -> usize {
+        let mut ops = 0;
+        let mut stack = vec![node];
+        while let Some(id) = stack.pop() {
+            ops += self.nodes[id].ops.len();
+            stack.extend_from_slice(&self.nodes[id].children);
+        }
+        ops
     }
 
     /// Jobs whose program is empty (they end at the root).

@@ -2,7 +2,7 @@
 //! executor: trie-scheduled `run_batch` must be **bit-for-bit** identical
 //! to the serial per-job loop across random batches — shared and disjoint
 //! prefixes, every engine (density matrix, statevector, trajectory
-//! fallback, auto), every memory budget.
+//! streams, auto), every memory budget.
 
 use proptest::prelude::*;
 use qt_circuit::{Circuit, Gate};
@@ -143,18 +143,23 @@ proptest! {
     }
 
     /// Auto backend with a low DM threshold: part of the batch resolves to
-    /// the trajectory engine and must take the per-job fallback, still bit
-    /// identical to serial execution.
+    /// the trajectory engine, whose streams share the work pool with the
+    /// trie subtrees, still bit identical to serial execution — also with
+    /// fewer streams than workers, and for any standalone thread count.
     #[test]
-    fn trie_matches_serial_with_trajectory_fallback(jobs in arb_batch(4)) {
+    fn trie_matches_serial_with_trajectory_fallback(
+        jobs in arb_batch(4),
+        n_trajectories in prop::sample::select(vec![1usize, 3, 64]),
+        n_threads in prop::sample::select(vec![None, Some(1usize), Some(3)]),
+    ) {
         let exec = Executor::with_backend(
             NoiseModel::depolarizing(0.01, 0.04),
             Backend::Auto {
                 dm_max_qubits: 2,
                 trajectories: TrajectoryConfig {
-                    n_trajectories: 64,
+                    n_trajectories,
                     seed: 11,
-                    n_threads: Some(2),
+                    n_threads,
                 },
             },
         );
