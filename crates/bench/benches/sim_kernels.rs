@@ -185,6 +185,19 @@ fn bench_trajectories(c: &mut Criterion) {
             b.iter(|| black_box(exec.noisy_distribution(&program, &measured)))
         });
     }
+    // The trajectory global of the end-to-end `qaoa_sampled` workload: a
+    // two-layer 12-qubit QAOA ring on that workload's executor, whose
+    // `Backend::Auto` runs 12 qubits as 2048 stratified trajectories.
+    let ring = qt_algos::qaoa_maxcut(
+        12,
+        &qt_algos::ring_graph(12),
+        &qt_algos::QaoaParams::seeded(2, 1),
+    );
+    let ring = Program::from_circuit(&ring);
+    group.bench_function("qaoa12_ring_2048traj", |b| {
+        let exec = Executor::new(qt_bench::mumbai_uniform_noise());
+        b.iter(|| black_box(exec.noisy_distribution(&ring, &measured)))
+    });
     group.finish();
 }
 

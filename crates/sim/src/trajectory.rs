@@ -6,12 +6,19 @@
 //! by Born-weighted Gram expectations otherwise). The average over
 //! trajectories converges to the density-matrix result.
 //!
-//! Two optimizations keep the paper's larger registers (15 qubits) cheap:
+//! Three optimizations keep the paper's larger registers (15 qubits) cheap:
 //!
 //! * **No-error stratification** — for models whose channels are all
 //!   probabilistic mixtures of unitaries, the per-trajectory error pattern is
 //!   sampled *before* touching the state. All-identity patterns contribute
 //!   the (precomputed) ideal distribution without simulating.
+//! * **Ideal-prefix checkpoints** — every other stratified trajectory is
+//!   error-free up to its first drawn error, so it starts from the latest
+//!   ideal state kept at or before that op instead of from |0…0⟩. The
+//!   walk that computes the ideal distribution keeps the states, evenly
+//!   spaced inside the program's reset-free prefix and bounded by
+//!   `MAX_CHECKPOINTS` and `CHECKPOINT_BYTES`; the skipped ops run no
+//!   RNG draw, so the result is bit-identical to a full replay.
 //! * **Stream fan-out** — trajectories are embarrassingly parallel. They
 //!   are dealt into a fixed number of independently seeded *streams*,
 //!   folded into the total in stream order, so the result depends only on
@@ -27,7 +34,7 @@ use crate::noise::{KrausChannel, NoiseModel};
 use crate::program::{Op, Program};
 use crate::statevector::StateVector;
 use qt_dist::Distribution;
-use qt_math::Matrix;
+use qt_math::{Complex, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Mutex;
@@ -35,6 +42,18 @@ use std::sync::Mutex;
 /// Number of independently seeded trajectory streams. A fixed count keeps
 /// results machine-independent while still saturating common core counts.
 const STREAMS: usize = 64;
+
+/// Most ideal-prefix checkpoints one stratified run keeps. With first
+/// errors spread evenly over the prefix, `k` evenly spaced states skip
+/// `k / (k + 1)` of what one state per op would (3/4 at 3, 16/17 at 16),
+/// while each further state holds another copy of the register.
+const MAX_CHECKPOINTS: usize = 3;
+
+/// Bytes of ideal-prefix checkpoint states one stratified run keeps, the
+/// binding bound from 15 qubits on: 2 states at 15, 1 at 16, none above.
+/// The trie's live-state budget sizes fork points whose reuse spans whole
+/// subtrees; it is not the bound for these.
+const CHECKPOINT_BYTES: usize = 1 << 20;
 
 /// Configuration for the trajectory engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,15 +135,81 @@ pub(crate) struct TrajectoryRun<'a> {
     seed: u64,
     streams: usize,
     chunk: usize,
-    /// The channel applications of every op, resolved once.
-    resolved: Vec<Vec<(Vec<usize>, &'a KrausChannel)>>,
+    /// The channel applications of every op, resolved and prepared once.
+    channels: Vec<Vec<Channel<'a>>>,
     /// Every gate classified once; each of the (potentially thousands of)
     /// trajectories replays the pre-classified kernels without
     /// re-inspecting gate matrices.
     gate_classes: Vec<Option<(KernelClass, &'a [usize])>>,
-    /// Whether error patterns are pre-sampled (no-error stratification).
-    stratify: bool,
+    /// `Some` when error patterns are pre-sampled (no-error
+    /// stratification): the ideal-prefix checkpoints, ascending in op
+    /// index, all inside the reset-free prefix.
+    checkpoints: Option<Vec<Checkpoint>>,
+    outcomes: OutcomeKeys,
     fold: Mutex<Fold>,
+}
+
+/// An ideal-prefix checkpoint `(p, state after ops [0, p))`.
+type Checkpoint = (usize, StateVector);
+
+/// One channel application after an op, prepared once per run.
+struct Channel<'a> {
+    qubits: Vec<usize>,
+    kraus: &'a KrausChannel,
+    /// For a mixture of unitaries, each branch's kernel, `None` for the
+    /// identity: a stratified draw keeps only non-identity branches and
+    /// replays them without re-classifying (empty for other channels).
+    branches: Vec<Option<KernelClass>>,
+}
+
+/// One non-identity branch of a drawn error pattern: the op it follows,
+/// the channel among that op's [`Channel`]s, and the mixture branch.
+struct DrawnError {
+    op: usize,
+    channel: usize,
+    branch: usize,
+}
+
+/// The outcome index over `measured` of every amplitude index, split into
+/// two half tables: index `i` reads `high[i >> b] | low[i & (2^b − 1)]`
+/// with `b = low.len().ilog2()`. The per-trajectory marginal then makes
+/// no bit tests, and the tables hold `O(2^(n/2))` entries.
+struct OutcomeKeys {
+    low: Vec<usize>,
+    high: Vec<usize>,
+}
+
+impl OutcomeKeys {
+    fn new(n_qubits: usize, measured: &[usize]) -> Self {
+        let low_bits = n_qubits / 2;
+        let key = |i: usize| {
+            measured
+                .iter()
+                .enumerate()
+                .fold(0, |k, (pos, &q)| k | ((i >> q) & 1) << pos)
+        };
+        OutcomeKeys {
+            low: (0..1usize << low_bits).map(key).collect(),
+            high: (0..1usize << (n_qubits - low_bits))
+                .map(|h| key(h << low_bits))
+                .collect(),
+        }
+    }
+
+    /// Writes the marginal of `amps` over the measured qubits into `out`.
+    /// Sums in amplitude order and skips zero weights, as
+    /// [`crate::kernel::marginal_probabilities`] does, so the bits match.
+    fn marginal(&self, amps: &[Complex], out: &mut [f64]) {
+        out.fill(0.0);
+        for (block, &high) in amps.chunks(self.low.len()).zip(&self.high) {
+            for (a, &low) in block.iter().zip(&self.low) {
+                let p = a.norm_sqr();
+                if p != 0.0 {
+                    out[high | low] += p;
+                }
+            }
+        }
+    }
 }
 
 /// The in-order fold of a [`TrajectoryRun`]'s streams.
@@ -142,11 +227,12 @@ struct Fold {
 
 impl<'a> TrajectoryRun<'a> {
     /// Resolves channels and kernel classes, computes stratification's
-    /// ideal distribution and lays out the streams.
+    /// ideal distribution and checkpoints, and lays out the streams.
     ///
     /// # Panics
     ///
-    /// Panics if `measured` exceeds [`crate::executor::MAX_MEASURED_BITS`].
+    /// Panics if `measured` exceeds [`crate::executor::MAX_MEASURED_BITS`]
+    /// or `cfg` asks for no trajectories.
     pub(crate) fn new(
         program: &'a Program,
         noise: &'a NoiseModel,
@@ -163,15 +249,32 @@ impl<'a> TrajectoryRun<'a> {
             measured.len(),
             crate::executor::MAX_MEASURED_BITS
         );
-        let resolved: Vec<Vec<(Vec<usize>, &KrausChannel)>> = program
+        assert!(
+            cfg.n_trajectories > 0,
+            "a trajectory average needs at least one trajectory: {cfg:?}"
+        );
+        let channels: Vec<Vec<Channel>> = program
             .ops()
             .iter()
             .map(|op| match op {
-                Op::Gate(i) => noise.channels_for(i),
+                Op::Gate(i) => noise
+                    .channels_for(i)
+                    .into_iter()
+                    .map(|(qubits, kraus)| Channel {
+                        branches: kraus
+                            .mixture_unitaries()
+                            .unwrap_or_default()
+                            .iter()
+                            .map(|u| (!is_identity_unitary(u)).then(|| KernelClass::classify(u)))
+                            .collect(),
+                        qubits,
+                        kraus,
+                    })
+                    .collect(),
                 Op::IdealGate(_) | Op::Reset { .. } => Vec::new(),
             })
             .collect();
-        let gate_classes = program
+        let gate_classes: Vec<_> = program
             .ops()
             .iter()
             .map(|op| match op {
@@ -181,19 +284,25 @@ impl<'a> TrajectoryRun<'a> {
                 Op::Reset { .. } => None,
             })
             .collect();
-        let all_mixtures = resolved
+        let all_mixtures = channels
             .iter()
             .flatten()
-            .all(|(_, ch)| ch.mixture_probs().is_some());
+            .all(|ch| ch.kraus.mixture_probs().is_some());
         // Stratification needs the noiseless outcome distribution; resets
         // are handled exactly by branching over their collapse outcomes
         // (bounded branch count), falling back to plain sampling for
         // reset-heavy programs.
-        let ideal = if all_mixtures {
-            ideal_reset_branches(program, measured)
+        let (ideal, checkpoints) = if all_mixtures {
+            ideal_walk(
+                program,
+                &gate_classes,
+                measured,
+                &checkpoint_positions(program),
+            )
         } else {
             None
-        };
+        }
+        .unzip();
         let (streams, chunk) = stream_layout(cfg.n_trajectories);
         TrajectoryRun {
             program,
@@ -202,9 +311,10 @@ impl<'a> TrajectoryRun<'a> {
             seed: cfg.seed,
             streams,
             chunk,
-            resolved,
+            channels,
             gate_classes,
-            stratify: ideal.is_some(),
+            checkpoints,
+            outcomes: OutcomeKeys::new(program.n_qubits(), measured),
             fold: Mutex::new(Fold {
                 next: 0,
                 waiting: vec![None; streams],
@@ -222,19 +332,17 @@ impl<'a> TrajectoryRun<'a> {
         let lo = s * self.chunk;
         let hi = ((s + 1) * self.chunk).min(self.n_trajectories);
         let mut acc = vec![0.0f64; 1 << self.measured.len()];
+        let mut marginal = acc.clone();
+        let mut pattern = Vec::new();
         let mut n_ideal = 0u64;
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(s as u64 * 0x51ab_de37));
         for _ in lo..hi {
-            if run_one(
-                self.program,
-                &self.resolved,
-                &self.gate_classes,
-                self.measured,
-                self.stratify,
-                &mut acc,
-                &mut rng,
-            ) {
+            if self.run_one(&mut rng, &mut pattern, &mut marginal) {
                 n_ideal += 1;
+            } else {
+                for (a, p) in acc.iter_mut().zip(&marginal) {
+                    *a += p;
+                }
             }
         }
         let mut guard = self.fold.lock().expect("no stream panics while folding");
@@ -270,82 +378,89 @@ impl<'a> TrajectoryRun<'a> {
         Distribution::try_from_probs(self.measured.len(), dist)
             .expect("trajectory average fits its measured bit count")
     }
-}
 
-/// Simulates one trajectory into `acc`. Returns `true` if the trajectory was
-/// skipped as an all-identity (ideal) pattern under stratification.
-fn run_one(
-    program: &Program,
-    resolved: &[Vec<(Vec<usize>, &KrausChannel)>],
-    gate_classes: &[Option<(KernelClass, &[usize])>],
-    measured: &[usize],
-    stratify: bool,
-    acc: &mut [f64],
-    rng: &mut StdRng,
-) -> bool {
-    if stratify {
-        // Pre-sample the whole error pattern cheaply.
-        let mut pattern: Vec<(usize, usize)> = Vec::new(); // (op index, flat channel choice)
-        for (op_idx, chans) in resolved.iter().enumerate() {
-            for (ch_idx, (_, ch)) in chans.iter().enumerate() {
-                let probs = ch.mixture_probs().expect("stratified path");
-                let r: f64 = rng.random();
-                let mut cum = 0.0;
-                let mut pick = probs.len() - 1;
-                for (i, &p) in probs.iter().enumerate() {
-                    cum += p;
-                    if r < cum {
-                        pick = i;
-                        break;
+    /// Simulates one trajectory and writes its outcome marginal into
+    /// `marginal`. Returns `true`, leaving `marginal` as it was, if
+    /// stratification skipped the trajectory as an all-identity pattern.
+    fn run_one(
+        &self,
+        rng: &mut StdRng,
+        pattern: &mut Vec<DrawnError>,
+        marginal: &mut [f64],
+    ) -> bool {
+        let n_ops = self.program.ops().len();
+        let sv = if let Some(checkpoints) = &self.checkpoints {
+            // Pre-sample the whole error pattern cheaply.
+            pattern.clear();
+            for (op, chans) in self.channels.iter().enumerate() {
+                for (channel, ch) in chans.iter().enumerate() {
+                    let probs = ch.kraus.mixture_probs().expect("stratified path");
+                    let r: f64 = rng.random();
+                    let mut cum = 0.0;
+                    let mut branch = probs.len() - 1;
+                    for (i, &p) in probs.iter().enumerate() {
+                        cum += p;
+                        if r < cum {
+                            branch = i;
+                            break;
+                        }
+                    }
+                    if ch.branches[branch].is_some() {
+                        pattern.push(DrawnError {
+                            op,
+                            channel,
+                            branch,
+                        });
                     }
                 }
-                if !is_identity_unitary(&ch.mixture_unitaries().expect("mixture")[pick]) {
-                    pattern.push((op_idx * 1024 + ch_idx, pick));
+            }
+            let Some(first) = pattern.first() else {
+                return true;
+            };
+            // Replay from the latest checkpoint at or before the first
+            // error (op 0's is |0…0⟩). The ops it skips are error-free and
+            // reset-free, so they draw nothing and the checkpoint holds
+            // the state their replay would reach, bit for bit.
+            let kept = checkpoints.partition_point(|&(p, _)| p <= first.op);
+            let (start, mut sv) = match kept.checked_sub(1).map(|k| &checkpoints[k]) {
+                Some((p, state)) => (*p, state.clone()),
+                None => (0, StateVector::zero(self.program.n_qubits())),
+            };
+            let mut errors = pattern.iter().peekable();
+            for op_idx in start..n_ops {
+                self.apply_op(&mut sv, op_idx, rng);
+                while let Some(e) = errors.next_if(|e| e.op == op_idx) {
+                    let ch = &self.channels[e.op][e.channel];
+                    let class = ch.branches[e.branch]
+                        .as_ref()
+                        .expect("patterns keep non-identity branches");
+                    sv.apply_class(class, &ch.qubits);
                 }
             }
-        }
-        if pattern.is_empty() {
-            return true;
-        }
-        // Replay with the pre-sampled pattern.
-        let mut sv = StateVector::zero(program.n_qubits());
-        let mut cursor = 0usize;
-        for (op_idx, op) in program.ops().iter().enumerate() {
-            match (op, &gate_classes[op_idx]) {
-                (_, Some((class, qs))) => sv.apply_class(class, qs),
-                (Op::Reset { qubits, ket }, None) => sv.reset_to_ket(qubits, ket, rng),
-                _ => unreachable!("gate ops always classify"),
-            }
-            for (ch_idx, (qs, ch)) in resolved[op_idx].iter().enumerate() {
-                let key = op_idx * 1024 + ch_idx;
-                if cursor < pattern.len() && pattern[cursor].0 == key {
-                    let u = &ch.mixture_unitaries().expect("mixture")[pattern[cursor].1];
-                    sv.apply_op(u, qs);
-                    cursor += 1;
+            sv
+        } else {
+            let mut sv = StateVector::zero(self.program.n_qubits());
+            for op_idx in 0..n_ops {
+                self.apply_op(&mut sv, op_idx, rng);
+                for ch in &self.channels[op_idx] {
+                    sample_channel(&mut sv, ch.kraus, &ch.qubits, rng);
                 }
             }
-        }
-        for (i, p) in sv.marginal_probabilities(measured).iter().enumerate() {
-            acc[i] += p;
-        }
-        return false;
+            sv
+        };
+        self.outcomes.marginal(sv.amplitudes(), marginal);
+        false
     }
 
-    let mut sv = StateVector::zero(program.n_qubits());
-    for (op_idx, op) in program.ops().iter().enumerate() {
-        match (op, &gate_classes[op_idx]) {
+    /// Applies op `op_idx` (its pre-classified gate, or a reset, which
+    /// draws its collapse outcomes from `rng`), without its channels.
+    fn apply_op(&self, sv: &mut StateVector, op_idx: usize, rng: &mut StdRng) {
+        match (&self.program.ops()[op_idx], &self.gate_classes[op_idx]) {
             (_, Some((class, qs))) => sv.apply_class(class, qs),
             (Op::Reset { qubits, ket }, None) => sv.reset_to_ket(qubits, ket, rng),
             _ => unreachable!("gate ops always classify"),
         }
-        for (qs, ch) in &resolved[op_idx] {
-            sample_channel(&mut sv, ch, qs, rng);
-        }
     }
-    for (i, p) in sv.marginal_probabilities(measured).iter().enumerate() {
-        acc[i] += p;
-    }
-    false
 }
 
 /// Samples one Kraus branch of `ch` on `qs` and applies it to `sv`.
@@ -391,10 +506,38 @@ fn sample_channel(sv: &mut StateVector, ch: &KrausChannel, qs: &[usize], rng: &m
     }
 }
 
+/// Where a stratified run keeps ideal-prefix checkpoints: up to
+/// [`MAX_CHECKPOINTS`] op indices, as many as [`CHECKPOINT_BYTES`]
+/// affords states of the program's register, evenly spaced inside its
+/// reset-free prefix. Replay draws from the RNG at resets, so no
+/// checkpoint may pass the first one. Op 0 is left out: its state is
+/// |0…0⟩.
+fn checkpoint_positions(program: &Program) -> Vec<usize> {
+    let ops = program.ops();
+    let prefix = ops
+        .iter()
+        .position(|op| matches!(op, Op::Reset { .. }))
+        .unwrap_or(ops.len());
+    let state_bytes = std::mem::size_of::<Complex>() << program.n_qubits();
+    let count = (CHECKPOINT_BYTES / state_bytes)
+        .min(MAX_CHECKPOINTS)
+        .min(prefix.saturating_sub(1));
+    (1..=count).map(|k| k * prefix / (count + 1)).collect()
+}
+
 /// The exact noiseless outcome distribution of a program, branching over
-/// the projective collapse outcomes of every reset. Returns `None` when the
-/// branch count would exceed 64 (fall back to sampling).
-fn ideal_reset_branches(program: &Program, measured: &[usize]) -> Option<Vec<f64>> {
+/// the projective collapse outcomes of every reset, and the ideal states
+/// before the ops at the ascending `positions`. The positions lie inside
+/// the reset-free prefix, which only the walk's first segment passes, so
+/// they are taken in order by the same `gate_classes` kernels a
+/// trajectory's replay runs. Returns `None` when the branch count would
+/// exceed 64 (fall back to sampling).
+fn ideal_walk(
+    program: &Program,
+    gate_classes: &[Option<(KernelClass, &[usize])>],
+    measured: &[usize],
+    positions: &[usize],
+) -> Option<(Vec<f64>, Vec<Checkpoint>)> {
     let mut branch_bound = 1usize;
     for op in program.ops() {
         if let Op::Reset { qubits, .. } = op {
@@ -407,15 +550,19 @@ fn ideal_reset_branches(program: &Program, measured: &[usize]) -> Option<Vec<f64
     let dim = 1usize << measured.len();
     let mut dist = vec![0.0f64; dim];
     let ops = program.ops();
+    let mut checkpoints = Vec::with_capacity(positions.len());
     let mut stack: Vec<(StateVector, usize, f64)> =
         vec![(StateVector::zero(program.n_qubits()), 0, 1.0)];
     while let Some((mut sv, start, weight)) = stack.pop() {
         let mut idx = start;
         let mut branched = false;
         while idx < ops.len() {
-            match &ops[idx] {
-                Op::Gate(i) | Op::IdealGate(i) => sv.apply_instruction(i),
-                Op::Reset { qubits, ket } => {
+            if positions.get(checkpoints.len()) == Some(&idx) {
+                checkpoints.push((idx, sv.clone()));
+            }
+            match (&ops[idx], &gate_classes[idx]) {
+                (_, Some((class, qs))) => sv.apply_class(class, qs),
+                (Op::Reset { qubits, ket }, None) => {
                     let probs = sv.marginal_probabilities(qubits);
                     let prep = crate::statevector::unitary_with_first_column(ket);
                     for (m, &p) in probs.iter().enumerate() {
@@ -435,6 +582,7 @@ fn ideal_reset_branches(program: &Program, measured: &[usize]) -> Option<Vec<f64
                     branched = true;
                     break;
                 }
+                _ => unreachable!("gate ops always classify"),
             }
             idx += 1;
         }
@@ -444,7 +592,8 @@ fn ideal_reset_branches(program: &Program, measured: &[usize]) -> Option<Vec<f64
             }
         }
     }
-    Some(dist)
+    debug_assert_eq!(checkpoints.len(), positions.len(), "every position passed");
+    Some((dist, checkpoints))
 }
 
 fn is_identity_unitary(u: &Matrix) -> bool {
@@ -574,26 +723,35 @@ mod tests {
     /// A two-layer QAOA max-cut ring on 12 qubits, the trajectory global of
     /// the sampled QAOA workload, with its noise and measured qubits.
     fn twelve_qubit_qaoa_ring() -> (Program, NoiseModel, Vec<usize>) {
-        let n = 12;
+        let mut c = hadamard_ring(12, 0.41, 0.33);
+        ring_layer(&mut c, 0.77, 0.21);
+        (
+            Program::from_circuit(&c),
+            NoiseModel::depolarizing(0.002, 0.02),
+            (0..12).collect(),
+        )
+    }
+
+    /// One QAOA max-cut layer on the ring of `c`'s qubits.
+    fn ring_layer(c: &mut Circuit, gamma: f64, beta: f64) {
+        let n = c.n_qubits();
+        for a in 0..n {
+            let b = (a + 1) % n;
+            c.p(a, 2.0 * gamma).p(b, 2.0 * gamma).cp(a, b, -4.0 * gamma);
+        }
+        for q in 0..n {
+            c.rx(q, 2.0 * beta);
+        }
+    }
+
+    /// Hadamards on every qubit of an `n`-ring, then one QAOA layer.
+    fn hadamard_ring(n: usize, gamma: f64, beta: f64) -> Circuit {
         let mut c = Circuit::new(n);
         for q in 0..n {
             c.h(q);
         }
-        for (gamma, beta) in [(0.41, 0.33), (0.77, 0.21)] {
-            for a in 0..n {
-                let b = (a + 1) % n;
-                c.p(a, 2.0 * gamma).p(b, 2.0 * gamma).cp(a, b, -4.0 * gamma);
-            }
-            for q in 0..n {
-                c.rx(q, 2.0 * beta);
-            }
-        }
-        let measured = (0..n).collect();
-        (
-            Program::from_circuit(&c),
-            NoiseModel::depolarizing(0.002, 0.02),
-            measured,
-        )
+        ring_layer(&mut c, gamma, beta);
+        c
     }
 
     #[test]
@@ -626,6 +784,130 @@ mod tests {
         assert_eq!(completed.iter().filter(|&&c| c).count(), 1);
         assert_eq!(completed.last(), Some(&true), "stream 0 completes the fold");
         assert_eq!(bits_hash(&run.finish()), PINNED);
+    }
+
+    /// The constant of the 12-qubit ring with a reset between its layers,
+    /// recorded on the engine that replayed every trajectory from |0…0⟩.
+    const PINNED_RESET: u64 = 0xdd63_f238_c6be_6615;
+
+    #[test]
+    fn ring_with_a_mid_program_reset_keeps_its_pinned_bits() {
+        // Checkpoints stop at the first reset: a trajectory started past it
+        // would skip the reset's collapse draw, shifting every later draw
+        // of its stream.
+        let (_, noise, measured) = twelve_qubit_qaoa_ring();
+        let mut second = Circuit::new(12);
+        ring_layer(&mut second, 0.77, 0.21);
+        let mut prog = Program::from_circuit(&hadamard_ring(12, 0.41, 0.33));
+        prog.push_reset_state(&[5], qt_math::states::PrepState::Plus)
+            .push_circuit(&second);
+        for threads in [1, 2] {
+            let cfg = TrajectoryConfig {
+                n_trajectories: 320,
+                seed: 2024,
+                n_threads: Some(threads),
+            };
+            let dist = run_distribution(&prog, &noise, &measured, &cfg);
+            assert_eq!(bits_hash(&dist), PINNED_RESET, "{threads} threads");
+        }
+    }
+
+    /// The constant of a one-layer 15-qubit ring, recorded like
+    /// [`PINNED_RESET`].
+    const PINNED_FIFTEEN: u64 = 0x2e8f_a979_567a_a66a;
+
+    #[test]
+    fn fifteen_qubit_ring_keeps_its_pinned_bits() {
+        // At 15 qubits the byte budget affords two states.
+        let prog = Program::from_circuit(&hadamard_ring(15, 0.41, 0.33));
+        let noise = NoiseModel::depolarizing(0.002, 0.02);
+        let measured: Vec<usize> = (0..15).collect();
+        for threads in [1, 2] {
+            let cfg = TrajectoryConfig {
+                n_trajectories: 48,
+                seed: 2024,
+                n_threads: Some(threads),
+            };
+            let dist = run_distribution(&prog, &noise, &measured, &cfg);
+            assert_eq!(bits_hash(&dist), PINNED_FIFTEEN, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn checkpoints_stay_within_their_byte_budget() {
+        let noise = NoiseModel::depolarizing(0.002, 0.02);
+        let cfg = TrajectoryConfig::with_trajectories(1);
+        // The count bound holds up to 14 qubits, the byte bound above.
+        for (n, want) in [(5, MAX_CHECKPOINTS), (12, MAX_CHECKPOINTS), (15, 2)] {
+            let prog = Program::from_circuit(&hadamard_ring(n, 0.41, 0.33));
+            let measured: Vec<usize> = (0..n).collect();
+            let run = TrajectoryRun::new(&prog, &noise, &measured, &cfg);
+            let checkpoints = run.checkpoints.as_ref().expect("mixture noise stratifies");
+            let bytes: usize = checkpoints
+                .iter()
+                .map(|(_, sv)| std::mem::size_of_val(sv.amplitudes()))
+                .sum();
+            assert_eq!(checkpoints.len(), want, "{n} qubits");
+            assert!(bytes <= CHECKPOINT_BYTES, "{n} qubits hold {bytes} bytes");
+            assert!(checkpoints.windows(2).all(|w| w[0].0 < w[1].0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n_trajectories: 0")]
+    fn a_zero_trajectory_run_is_rejected_naming_its_config() {
+        let mut bell = Circuit::new(2);
+        bell.h(0).cx(0, 1);
+        let cfg = TrajectoryConfig {
+            n_trajectories: 0,
+            ..TrajectoryConfig::default()
+        };
+        let exec = crate::Executor::with_backend(
+            NoiseModel::depolarizing(0.01, 0.02),
+            crate::Backend::Trajectory(cfg),
+        );
+        exec.noisy_distribution(&Program::from_circuit(&bell), &[0, 1]);
+    }
+
+    #[test]
+    fn a_zero_trajectory_job_fails_typed_beside_a_served_cohabitant() {
+        use crate::{Backend, BatchJob, Executor, RunErrorKind, Runner};
+        let exec = Executor::with_backend(
+            NoiseModel::depolarizing(0.01, 0.02),
+            Backend::Auto {
+                dm_max_qubits: 3,
+                trajectories: TrajectoryConfig {
+                    n_trajectories: 0,
+                    ..TrajectoryConfig::default()
+                },
+            },
+        );
+        let mut small = Circuit::new(2);
+        small.h(0).cx(0, 1).ry(1, 0.3);
+        let wide = hadamard_ring(5, 0.41, 0.33);
+        let jobs = [
+            BatchJob::new(Program::from_circuit(&small), vec![0, 1]),
+            BatchJob::new(Program::from_circuit(&wide), (0..5).collect::<Vec<_>>()),
+        ];
+        assert_eq!(
+            exec.engine_mix_of(&jobs),
+            [
+                ("density-matrix".to_string(), 1),
+                ("trajectory".to_string(), 1)
+            ]
+        );
+        let (results, panics) = crate::try_run_batch_isolated(&exec, &jobs);
+        assert_eq!(panics, 1);
+        assert!(
+            matches!(&results[1], Err(e) if e.kind == RunErrorKind::Panic
+                && e.detail.contains("n_trajectories: 0")),
+            "the zero-trajectory job fails with a typed error, got {:?}",
+            results[1]
+        );
+        let served = results[0].as_ref().expect("the cohabitant is served");
+        let alone = &exec.run_batch(&jobs[..1])[0];
+        let bits = |d: &Distribution| d.iter().map(|(i, p)| (i, p.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&served.dist), bits(&alone.dist));
     }
 
     #[test]
