@@ -9,7 +9,7 @@ use qt_baselines::run_jigsaw;
 use qt_bench::{fidelity_vs_ideal, BestReadoutRunner, SampledRunner};
 use qt_core::{QuTracer, QuTracerConfig, ShotPolicy};
 use qt_dist::hellinger_fidelity_sampled;
-use qt_sim::{Backend, Executor, NoiseModel, ReadoutModel, Runner};
+use qt_sim::{sample_counts_deterministic, Backend, Executor, NoiseModel, ReadoutModel, Runner};
 
 fn fig2_noise() -> NoiseModel {
     let mut readout = ReadoutModel::default();
@@ -80,8 +80,9 @@ fn execute_sampled_matches_sampled_runner_regime() {
     // The shot-noise error bar machinery agrees with reality: two
     // independently seeded global samples are consistent within 5 sigma.
     let global = plan.programs().next().unwrap().0.clone();
-    let a = exec.sampled_counts(&global.program, &global.measured, 20_000, 1);
-    let b = exec.sampled_counts(&global.program, &global.measured, 20_000, 2);
+    let dist = exec.noisy_distribution(&global.program, &global.measured);
+    let a = sample_counts_deterministic(&dist, 20_000, 1, 1);
+    let b = sample_counts_deterministic(&dist, 20_000, 2, 1);
     let est = hellinger_fidelity_sampled(&a, &b);
     assert!(
         est.value > 0.99,

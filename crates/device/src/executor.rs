@@ -145,27 +145,13 @@ impl DeviceExecutor {
 }
 
 impl Runner for DeviceExecutor {
+    /// Transpiles the job and executes it as a one-job
+    /// [`Runner::run_batch`] would.
     fn run(&self, program: &Program, measured: &[usize]) -> RunOutput {
-        let (compact, physical, compact_measured) = self.transpile(program, measured);
-        let mut noise = self.device.noise_model_for(&physical);
-        if self.twirl_large_registers {
-            // Twirl exactly when the backend resolves this register to the
-            // sampling engine (its stratified fast path needs mixtures).
-            // Twirling is an optimization: a model carrying an untwirlable
-            // (>2-qubit) channel keeps its original channels instead.
-            if let ResolvedEngine::Trajectory(_) = self.backend.resolve(compact.n_qubits()) {
-                if let Ok(twirled) = noise.pauli_twirled() {
-                    noise = twirled;
-                }
-            }
-        }
-        let exec = Executor::with_backend(noise, self.backend);
-        let raw = exec.noisy_distribution(&compact, &compact_measured);
-        RunOutput {
-            dist: raw,
-            gates: compact.gate_count(),
-            two_qubit_gates: compact.two_qubit_gate_count(),
-        }
+        let transpiled = self.transpile(program, measured);
+        self.execute_transpiled(vec![transpiled])
+            .pop()
+            .expect("one job in, one output out")
     }
 
     /// Transpiles every job (in parallel over
@@ -250,8 +236,11 @@ impl DeviceExecutor {
             let (physical, idxs) = &groups[g];
             let mut noise = self.device.noise_model_for(physical);
             if self.twirl_large_registers {
-                // As in `run`: skip the twirl (an optimization) when the
-                // model carries an untwirlable channel.
+                // Twirl exactly when the backend resolves this register to
+                // the sampling engine (its stratified fast path needs
+                // mixtures). Twirling is an optimization: a model carrying
+                // an untwirlable (>2-qubit) channel keeps its original
+                // channels instead.
                 if let ResolvedEngine::Trajectory(_) = self.backend.resolve(physical.len()) {
                     if let Ok(twirled) = noise.pauli_twirled() {
                         noise = twirled;
@@ -346,6 +335,45 @@ mod tests {
         c.h(0).cp(0, 1, 0.4);
         let out = exec.run(&Program::from_circuit(&c), &[0, 1]);
         assert_eq!(out.two_qubit_gates, 2, "CP lowers to 2 CX");
+    }
+
+    /// FNV-1a over every `(outcome, p.to_bits())` pair: a fingerprint of a
+    /// distribution's exact bits.
+    fn bits_hash(dist: &qt_dist::Distribution) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (outcome, p) in dist.iter() {
+            for byte in outcome
+                .to_le_bytes()
+                .into_iter()
+                .chain(p.to_bits().to_le_bytes())
+            {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn run_keeps_its_pinned_bits_on_both_engines() {
+        // Five compact qubits above `dm_max_qubits`: the twirled trajectory
+        // path. The constants were recorded while `run` simulated its job
+        // on a route of its own, beside the batch path.
+        let mut exec = DeviceExecutor::new(Device::fake_hanoi());
+        exec.backend = Backend::Auto {
+            dm_max_qubits: 3,
+            trajectories: qt_sim::TrajectoryConfig::with_trajectories(64),
+        };
+        let wide = Program::from_circuit(&vqe_ansatz(5, 1, 11));
+        let out = exec.run(&wide, &[0, 1, 2, 3, 4]);
+        assert_eq!(exec.transpile(&wide, &[0, 1, 2, 3, 4]).0.n_qubits(), 5);
+        assert_eq!((out.gates, out.two_qubit_gates), (22, 4));
+        assert_eq!(bits_hash(&out.dist), 0x3ba7_3e9f_f6cb_114e);
+        // Three qubits under the default backend: the density matrix.
+        let exec = DeviceExecutor::new(Device::fake_hanoi());
+        let narrow = Program::from_circuit(&vqe_ansatz(3, 2, 5));
+        let out = exec.run(&narrow, &[0, 1, 2]);
+        assert_eq!((out.gates, out.two_qubit_gates), (21, 4));
+        assert_eq!(bits_hash(&out.dist), 0x3220_931b_d28a_97c5);
     }
 
     #[test]

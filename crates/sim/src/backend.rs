@@ -3,21 +3,25 @@
 //!
 //! The [`Backend`] value a caller configures (exact density matrix,
 //! trajectories, or automatic selection by register size) resolves per
-//! program to a concrete [`BackendEngine`] — the object that turns a noisy
-//! program into an outcome distribution. Everything above this module
-//! (executors, QSPC checks, the tracing framework, baselines, benches)
-//! speaks [`crate::Runner`]; everything below it is an engine.
+//! program to a [`ResolvedEngine`]. Every exact engine evolves one
+//! [`StateClass`] of [`EngineState`], op by op: the executor walks a job's
+//! whole program on one state ([`StateClass::run`]) or forks shared
+//! prefixes at the branch points of an execution trie (see
+//! [`crate::trie`]); the trajectory engine samples whole programs instead.
+//! Everything above this module (executors, QSPC checks, the tracing
+//! framework, baselines, benches) speaks [`crate::Runner`]; everything
+//! below it is an engine.
 //!
 //! ```text
 //! Runner::run / run_batch
 //!         │
 //!         ▼
-//! Backend::resolve_for(n, noise, profile)
-//!         ├─► StabilizerEngine          (Clifford + Pauli noise, O(n²)/gate)
-//!         ├─► SparseStatevectorEngine   (low-entanglement pure states)
-//!         ├─► DensityMatrixEngine       (exact mixed state, small n)
-//!         ├─► StatevectorEngine         (dense pure state, mid n)
-//!         └─► TrajectoryEngine          (sampled, large n)
+//! Backend::resolve_for(n, noise, profile) → ResolvedEngine::state_class
+//!         ├─► Stabilizer     StateClass::Stabilizer  (Clifford + Pauli noise, O(n²)/gate)
+//!         ├─► Sparse         StateClass::Sparse      (low-entanglement pure states)
+//!         ├─► DensityMatrix  StateClass::Density     (exact mixed state, small n)
+//!         ├─► Statevector    StateClass::Pure        (dense pure state, mid n)
+//!         └─► Trajectory     no state class          (sampled, large n)
 //! ```
 //!
 //! Engine choice never changes results — only cost. Every engine is exact
@@ -29,23 +33,21 @@ use crate::classify::ProgramProfile;
 use crate::density::DensityMatrix;
 use crate::noise::NoiseModel;
 use crate::program::{Op, Program};
-use crate::sparse::{sparse_admissible, sparse_distribution, SparseState};
-use crate::stabilizer::{stabilizer_admissible, stabilizer_distribution, StabilizerState};
+use crate::sparse::{sparse_admissible, SparseState};
+use crate::stabilizer::{stabilizer_admissible, StabilizerState};
 use crate::statevector::{self, StateVector};
-use crate::trajectory::{self, TrajectoryConfig};
+use crate::trajectory::TrajectoryConfig;
 use qt_dist::Distribution;
 use qt_math::Matrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A deterministic, checkpointable simulation state — the fork/snapshot
-/// capability behind trie-scheduled batch execution (see [`crate::trie`]).
+/// A deterministic, checkpointable simulation state: what every exact
+/// engine evolves, op by op, from the `|0…0⟩` of its [`StateClass`].
 ///
-/// Contract: applying the ops of a program in order to a fresh snapshot
-/// and reading [`EngineState::raw_distribution`] must be **bit-identical**
-/// to the owning engine's [`BackendEngine::raw_distribution`] for that
-/// program, and [`EngineState::fork`] must be an exact copy — together
-/// these make prefix-shared execution indistinguishable from per-job runs.
+/// Contract: [`EngineState::fork`] is an exact copy, so a trie walk that
+/// evolves a shared prefix once and forks it at branch points is
+/// bit-identical to [`StateClass::run`] of every job's whole program.
 pub trait EngineState: Send {
     /// Applies one program op (gate + attached noise, ideal gate, or
     /// reset).
@@ -60,54 +62,65 @@ pub trait EngineState: Send {
     fn raw_distribution(&self, measured: &[usize]) -> Distribution;
 }
 
-/// A simulation engine: anything that can turn a noisy [`Program`] into a
-/// gate-noisy outcome distribution (readout error is applied above, by the
-/// executor, because it needs original qubit identities).
-pub trait BackendEngine: Send + Sync + std::fmt::Debug {
-    /// Engine name for diagnostics and reports.
-    fn name(&self) -> &'static str;
+/// The state representation an exact engine evolves a job in. Jobs with
+/// equal register size and class start from equal states, so they may
+/// share one trie evolution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum StateClass {
+    /// The exact mixed state (`4^n` entries), every Kraus channel applied
+    /// in full.
+    Density,
+    /// The dense pure state (`2^n` amplitudes): reset-free programs under
+    /// gate-ideal noise.
+    Pure,
+    /// The stabilizer tableau with Pauli noise mixed exactly at readout
+    /// (see [`crate::stabilizer`]): all-Clifford, reset-free programs
+    /// under Pauli (or no) gate noise.
+    Stabilizer,
+    /// The nonzero amplitudes of a pure state, densified past half density
+    /// (see [`crate::sparse`]): the programs [`StateClass::Pure`] admits.
+    Sparse,
+}
 
-    /// The gate-noisy distribution over `measured` (bit `i` of the outcome
-    /// index = `measured[i]`), **before** readout error.
-    fn raw_distribution(
-        &self,
-        program: &Program,
-        noise: &NoiseModel,
-        measured: &[usize],
-    ) -> Distribution;
-
-    /// The engine's fork-capability class for a job with the given shape,
-    /// or `None` when the engine must run whole programs (stochastic
-    /// trajectory sampling draws each stream's RNG through the whole
-    /// program and cannot split mid-evolution; a batch schedules its
-    /// streams instead). Jobs with equal `(register size, class)` may
-    /// share one [`EngineState`] evolution; the class therefore encodes
-    /// every state-representation choice the engine makes (pure state vs
-    /// density matrix vs stabilizer tableau vs sparse map), which is why it
-    /// takes the full [`ProgramProfile`] rather than just the reset flag.
-    fn fork_class(&self, _noise: &NoiseModel, _profile: &ProgramProfile) -> Option<u8> {
-        None
+impl StateClass {
+    /// A fresh `|0…0⟩` state of this class on `n_qubits` qubits. The noise
+    /// model arrives shared so that snapshot-heavy walks (one per
+    /// independent subtree, one per budget-forced replay) do not clone
+    /// channel tables.
+    pub fn zero(self, n_qubits: usize, noise: &Arc<NoiseModel>) -> Box<dyn EngineState> {
+        match self {
+            StateClass::Density => Box::new(DensityState {
+                rho: DensityMatrix::zero(n_qubits),
+                noise: Arc::clone(noise),
+            }),
+            StateClass::Pure => Box::new(PureState {
+                sv: StateVector::zero(n_qubits),
+            }),
+            StateClass::Stabilizer => Box::new(StabilizerState::zero(n_qubits, Arc::clone(noise))),
+            StateClass::Sparse => Box::new(SparseState::zero(n_qubits)),
+        }
     }
 
-    /// A fresh `|0…0⟩` [`EngineState`] for a fork class previously
-    /// returned by [`BackendEngine::fork_class`], or `None` for engines
-    /// without the capability. The noise model arrives shared (`Arc`) so
-    /// that snapshot-heavy walks (one per independent subtree, one per
-    /// budget-forced replay) do not clone channel tables.
-    fn snapshot(
-        &self,
-        _n_qubits: usize,
-        _noise: &Arc<NoiseModel>,
-        _class: u8,
-    ) -> Option<Box<dyn EngineState>> {
-        None
+    /// Applies every op of `program` to a fresh state of this class and
+    /// reads the gate-noisy distribution over `measured` (bit `i` of the
+    /// index = `measured[i]`), before readout error: the straight-line
+    /// walk a trie's forked walk reproduces bit for bit.
+    pub fn run(
+        self,
+        program: &Program,
+        noise: &Arc<NoiseModel>,
+        measured: &[usize],
+    ) -> Distribution {
+        let mut state = self.zero(program.n_qubits(), noise);
+        for op in program.ops() {
+            state.apply_op(op);
+        }
+        state.raw_distribution(measured)
     }
 }
 
-/// Applies one program op to a density matrix exactly as
-/// [`density_evolution`] does — the single definition both the serial
-/// engine and the trie scheduler's [`EngineState`] share, so their
-/// results are bit-identical by construction.
+/// Applies one program op to a density matrix: the one definition both
+/// [`density_evolution`] and the density-matrix [`EngineState`] share.
 pub(crate) fn apply_density_op(rho: &mut DensityMatrix, op: &Op, noise: &NoiseModel) {
     match op {
         Op::Gate(instr) => {
@@ -125,13 +138,13 @@ pub(crate) fn apply_density_op(rho: &mut DensityMatrix, op: &Op, noise: &NoiseMo
 }
 
 /// Wraps a dense marginal-probability vector as a [`Distribution`] — the
-/// adapter every dense engine readout shares.
+/// adapter both dense readouts share.
 fn dense_raw(probs: Vec<f64>, measured: &[usize]) -> Distribution {
     Distribution::try_from_probs(measured.len(), probs)
         .expect("dense marginal fits its measured bit count")
 }
 
-/// The [`EngineState`] of the exact density-matrix engine.
+/// The [`StateClass::Density`] state.
 #[derive(Debug, Clone)]
 struct DensityState {
     rho: DensityMatrix,
@@ -152,8 +165,7 @@ impl EngineState for DensityState {
     }
 }
 
-/// The [`EngineState`] of the exact pure-state engine (reset-free
-/// programs under gate-ideal noise only — see [`StatevectorEngine`]).
+/// The [`StateClass::Pure`] state.
 #[derive(Debug, Clone)]
 struct PureState {
     sv: StateVector,
@@ -164,7 +176,7 @@ impl EngineState for PureState {
         match op {
             Op::Gate(i) | Op::IdealGate(i) => self.sv.apply_instruction(i),
             Op::Reset { .. } => {
-                unreachable!("pure fork class excludes programs with resets")
+                unreachable!("pure state class excludes programs with resets")
             }
         }
     }
@@ -175,286 +187,6 @@ impl EngineState for PureState {
 
     fn raw_distribution(&self, measured: &[usize]) -> Distribution {
         dense_raw(self.sv.marginal_probabilities(measured), measured)
-    }
-}
-
-/// Exact mixed-state evolution: every Kraus channel applied in full.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DensityMatrixEngine;
-
-impl BackendEngine for DensityMatrixEngine {
-    fn name(&self) -> &'static str {
-        "density-matrix"
-    }
-
-    fn raw_distribution(
-        &self,
-        program: &Program,
-        noise: &NoiseModel,
-        measured: &[usize],
-    ) -> Distribution {
-        dense_raw(
-            density_evolution(program, noise).marginal_probabilities(measured),
-            measured,
-        )
-    }
-
-    fn fork_class(&self, _noise: &NoiseModel, _profile: &ProgramProfile) -> Option<u8> {
-        // One representation for every program shape: the mixed state.
-        Some(FORK_CLASS_DM)
-    }
-
-    fn snapshot(
-        &self,
-        n_qubits: usize,
-        noise: &Arc<NoiseModel>,
-        class: u8,
-    ) -> Option<Box<dyn EngineState>> {
-        debug_assert_eq!(class, FORK_CLASS_DM);
-        Some(Box::new(DensityState {
-            rho: DensityMatrix::zero(n_qubits),
-            noise: Arc::clone(noise),
-        }))
-    }
-}
-
-/// Fork class of a density-matrix representation.
-pub(crate) const FORK_CLASS_DM: u8 = 0;
-/// Fork class of a pure-state representation.
-const FORK_CLASS_PURE: u8 = 1;
-/// Fork class of a stabilizer-tableau representation.
-const FORK_CLASS_STABILIZER: u8 = 2;
-/// Fork class of a sparse-statevector representation.
-const FORK_CLASS_SPARSE: u8 = 3;
-
-/// Exact pure-state evolution for reset-free programs under gate-ideal
-/// noise (`2^n` amplitudes instead of the density matrix's `4^n`), with a
-/// transparent density-matrix fallback for programs that need mixed
-/// states (resets) or whose noise model attaches gate channels. Readout
-/// error still applies (above, by the executor) — the engine choice only
-/// concerns gate evolution.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StatevectorEngine;
-
-impl StatevectorEngine {
-    /// Whether a program/noise pair admits the pure-state representation.
-    fn pure_eligible(noise: &NoiseModel, has_resets: bool) -> bool {
-        !has_resets && noise.gates_are_ideal()
-    }
-}
-
-impl EngineState for StabilizerState {
-    fn apply_op(&mut self, op: &Op) {
-        StabilizerState::apply_op(self, op);
-    }
-
-    fn fork(&self) -> Box<dyn EngineState> {
-        Box::new(StabilizerState::fork(self))
-    }
-
-    fn raw_distribution(&self, measured: &[usize]) -> Distribution {
-        StabilizerState::raw_distribution(self, measured)
-    }
-}
-
-impl EngineState for SparseState {
-    fn apply_op(&mut self, op: &Op) {
-        SparseState::apply_op(self, op);
-    }
-
-    fn fork(&self) -> Box<dyn EngineState> {
-        Box::new(SparseState::fork(self))
-    }
-
-    fn raw_distribution(&self, measured: &[usize]) -> Distribution {
-        SparseState::raw_distribution(self, measured)
-    }
-}
-
-/// CHP-style stabilizer-tableau evolution for all-Clifford, reset-free
-/// programs whose gate noise is absent or a Pauli mixture (mixed exactly,
-/// without trajectories — see [`crate::stabilizer`]), with a transparent
-/// density-matrix fallback for everything else. `O(n²)` per gate instead
-/// of `O(4^n)`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StabilizerEngine;
-
-impl BackendEngine for StabilizerEngine {
-    fn name(&self) -> &'static str {
-        "stabilizer"
-    }
-
-    fn raw_distribution(
-        &self,
-        program: &Program,
-        noise: &NoiseModel,
-        measured: &[usize],
-    ) -> Distribution {
-        let profile = ProgramProfile::of(program);
-        if stabilizer_admissible(noise, &profile) {
-            let noise = Arc::new(noise.clone());
-            stabilizer_distribution(program, &noise, measured)
-        } else {
-            dense_raw(
-                density_evolution(program, noise).marginal_probabilities(measured),
-                measured,
-            )
-        }
-    }
-
-    fn fork_class(&self, noise: &NoiseModel, profile: &ProgramProfile) -> Option<u8> {
-        Some(if stabilizer_admissible(noise, profile) {
-            FORK_CLASS_STABILIZER
-        } else {
-            FORK_CLASS_DM
-        })
-    }
-
-    fn snapshot(
-        &self,
-        n_qubits: usize,
-        noise: &Arc<NoiseModel>,
-        class: u8,
-    ) -> Option<Box<dyn EngineState>> {
-        Some(if class == FORK_CLASS_STABILIZER {
-            Box::new(StabilizerState::zero(n_qubits, Arc::clone(noise)))
-        } else {
-            Box::new(DensityState {
-                rho: DensityMatrix::zero(n_qubits),
-                noise: Arc::clone(noise),
-            })
-        })
-    }
-}
-
-/// Sparse pure-state evolution for reset-free programs under gate-ideal
-/// noise: only nonzero amplitudes are stored, so cost scales with the
-/// superposition a program actually builds, not the register width (see
-/// [`crate::sparse`]). Densifies in place past half density; falls back to
-/// the density matrix for programs that need mixed states.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SparseStatevectorEngine;
-
-impl BackendEngine for SparseStatevectorEngine {
-    fn name(&self) -> &'static str {
-        "sparse-statevector"
-    }
-
-    fn raw_distribution(
-        &self,
-        program: &Program,
-        noise: &NoiseModel,
-        measured: &[usize],
-    ) -> Distribution {
-        let profile = ProgramProfile::of(program);
-        if sparse_admissible(noise, &profile) {
-            sparse_distribution(program, measured)
-        } else {
-            dense_raw(
-                density_evolution(program, noise).marginal_probabilities(measured),
-                measured,
-            )
-        }
-    }
-
-    fn fork_class(&self, noise: &NoiseModel, profile: &ProgramProfile) -> Option<u8> {
-        Some(if sparse_admissible(noise, profile) {
-            FORK_CLASS_SPARSE
-        } else {
-            FORK_CLASS_DM
-        })
-    }
-
-    fn snapshot(
-        &self,
-        n_qubits: usize,
-        noise: &Arc<NoiseModel>,
-        class: u8,
-    ) -> Option<Box<dyn EngineState>> {
-        Some(if class == FORK_CLASS_SPARSE {
-            Box::new(SparseState::zero(n_qubits))
-        } else {
-            Box::new(DensityState {
-                rho: DensityMatrix::zero(n_qubits),
-                noise: Arc::clone(noise),
-            })
-        })
-    }
-}
-
-impl BackendEngine for StatevectorEngine {
-    fn name(&self) -> &'static str {
-        "statevector"
-    }
-
-    fn raw_distribution(
-        &self,
-        program: &Program,
-        noise: &NoiseModel,
-        measured: &[usize],
-    ) -> Distribution {
-        if Self::pure_eligible(noise, program.has_resets()) {
-            let mut sv = StateVector::zero(program.n_qubits());
-            for op in program.ops() {
-                if let Op::Gate(i) | Op::IdealGate(i) = op {
-                    sv.apply_instruction(i);
-                }
-            }
-            dense_raw(sv.marginal_probabilities(measured), measured)
-        } else {
-            dense_raw(
-                density_evolution(program, noise).marginal_probabilities(measured),
-                measured,
-            )
-        }
-    }
-
-    fn fork_class(&self, noise: &NoiseModel, profile: &ProgramProfile) -> Option<u8> {
-        Some(if Self::pure_eligible(noise, profile.has_resets) {
-            FORK_CLASS_PURE
-        } else {
-            FORK_CLASS_DM
-        })
-    }
-
-    fn snapshot(
-        &self,
-        n_qubits: usize,
-        noise: &Arc<NoiseModel>,
-        class: u8,
-    ) -> Option<Box<dyn EngineState>> {
-        Some(if class == FORK_CLASS_PURE {
-            Box::new(PureState {
-                sv: StateVector::zero(n_qubits),
-            })
-        } else {
-            Box::new(DensityState {
-                rho: DensityMatrix::zero(n_qubits),
-                noise: Arc::clone(noise),
-            })
-        })
-    }
-}
-
-/// Monte-Carlo wave-function sampling, fanned out over scoped threads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrajectoryEngine {
-    /// Trajectory count, seed and worker budget.
-    pub config: TrajectoryConfig,
-}
-
-impl BackendEngine for TrajectoryEngine {
-    fn name(&self) -> &'static str {
-        "trajectory"
-    }
-
-    fn raw_distribution(
-        &self,
-        program: &Program,
-        noise: &NoiseModel,
-        measured: &[usize],
-    ) -> Distribution {
-        trajectory::run_distribution(program, noise, measured, &self.config)
     }
 }
 
@@ -501,21 +233,19 @@ impl Backend {
     /// that hold a program should prefer [`Backend::resolve_for`].
     pub fn resolve(&self, n_qubits: usize) -> ResolvedEngine {
         match *self {
-            Backend::DensityMatrix => ResolvedEngine::DensityMatrix(DensityMatrixEngine),
-            Backend::Statevector => ResolvedEngine::Statevector(StatevectorEngine),
-            Backend::Stabilizer => ResolvedEngine::Stabilizer(StabilizerEngine),
-            Backend::Sparse => ResolvedEngine::Sparse(SparseStatevectorEngine),
-            Backend::Trajectory(config) => ResolvedEngine::Trajectory(TrajectoryEngine { config }),
+            Backend::DensityMatrix => ResolvedEngine::DensityMatrix,
+            Backend::Statevector => ResolvedEngine::Statevector,
+            Backend::Stabilizer => ResolvedEngine::Stabilizer,
+            Backend::Sparse => ResolvedEngine::Sparse,
+            Backend::Trajectory(config) => ResolvedEngine::Trajectory(config),
             Backend::Auto {
                 dm_max_qubits,
                 trajectories,
             } => {
                 if n_qubits <= dm_max_qubits {
-                    ResolvedEngine::DensityMatrix(DensityMatrixEngine)
+                    ResolvedEngine::DensityMatrix
                 } else {
-                    ResolvedEngine::Trajectory(TrajectoryEngine {
-                        config: trajectories,
-                    })
+                    ResolvedEngine::Trajectory(trajectories)
                 }
             }
         }
@@ -548,85 +278,69 @@ impl Backend {
             return self.resolve(n_qubits);
         };
         if stabilizer_admissible(noise, profile) {
-            return ResolvedEngine::Stabilizer(StabilizerEngine);
+            return ResolvedEngine::Stabilizer;
         }
         if sparse_admissible(noise, profile) && profile.support_bound_log2() + 2 <= n_qubits {
-            return ResolvedEngine::Sparse(SparseStatevectorEngine);
+            return ResolvedEngine::Sparse;
         }
         if n_qubits <= dm_max_qubits {
-            return ResolvedEngine::DensityMatrix(DensityMatrixEngine);
+            return ResolvedEngine::DensityMatrix;
         }
         if sparse_admissible(noise, profile) && n_qubits <= statevector::MAX_QUBITS {
-            return ResolvedEngine::Statevector(StatevectorEngine);
+            return ResolvedEngine::Statevector;
         }
         self.resolve(n_qubits)
     }
 }
 
-/// A [`Backend`] resolved against a concrete register size.
+/// A [`Backend`] resolved for a concrete job.
 #[derive(Debug, Clone, Copy)]
 pub enum ResolvedEngine {
     /// The exact mixed-state engine.
-    DensityMatrix(DensityMatrixEngine),
+    DensityMatrix,
     /// The exact pure-state engine (with DM fallback per program).
-    Statevector(StatevectorEngine),
+    Statevector,
     /// The stabilizer-tableau engine (with DM fallback per program).
-    Stabilizer(StabilizerEngine),
+    Stabilizer,
     /// The sparse pure-state engine (with DM fallback per program).
-    Sparse(SparseStatevectorEngine),
-    /// The sampling engine.
-    Trajectory(TrajectoryEngine),
+    Sparse,
+    /// The sampling engine: Monte-Carlo wave-function trajectories with
+    /// their count, seed and worker budget.
+    Trajectory(TrajectoryConfig),
 }
 
-impl BackendEngine for ResolvedEngine {
-    fn name(&self) -> &'static str {
+impl ResolvedEngine {
+    /// Engine name for diagnostics and reports.
+    pub fn name(&self) -> &'static str {
         match self {
-            ResolvedEngine::DensityMatrix(e) => e.name(),
-            ResolvedEngine::Statevector(e) => e.name(),
-            ResolvedEngine::Stabilizer(e) => e.name(),
-            ResolvedEngine::Sparse(e) => e.name(),
-            ResolvedEngine::Trajectory(e) => e.name(),
+            ResolvedEngine::DensityMatrix => "density-matrix",
+            ResolvedEngine::Statevector => "statevector",
+            ResolvedEngine::Stabilizer => "stabilizer",
+            ResolvedEngine::Sparse => "sparse-statevector",
+            ResolvedEngine::Trajectory(_) => "trajectory",
         }
     }
 
-    fn raw_distribution(
-        &self,
-        program: &Program,
-        noise: &NoiseModel,
-        measured: &[usize],
-    ) -> Distribution {
-        match self {
-            ResolvedEngine::DensityMatrix(e) => e.raw_distribution(program, noise, measured),
-            ResolvedEngine::Statevector(e) => e.raw_distribution(program, noise, measured),
-            ResolvedEngine::Stabilizer(e) => e.raw_distribution(program, noise, measured),
-            ResolvedEngine::Sparse(e) => e.raw_distribution(program, noise, measured),
-            ResolvedEngine::Trajectory(e) => e.raw_distribution(program, noise, measured),
-        }
-    }
-
-    fn fork_class(&self, noise: &NoiseModel, profile: &ProgramProfile) -> Option<u8> {
-        match self {
-            ResolvedEngine::DensityMatrix(e) => e.fork_class(noise, profile),
-            ResolvedEngine::Statevector(e) => e.fork_class(noise, profile),
-            ResolvedEngine::Stabilizer(e) => e.fork_class(noise, profile),
-            ResolvedEngine::Sparse(e) => e.fork_class(noise, profile),
-            ResolvedEngine::Trajectory(e) => e.fork_class(noise, profile),
-        }
-    }
-
-    fn snapshot(
-        &self,
-        n_qubits: usize,
-        noise: &Arc<NoiseModel>,
-        class: u8,
-    ) -> Option<Box<dyn EngineState>> {
-        match self {
-            ResolvedEngine::DensityMatrix(e) => e.snapshot(n_qubits, noise, class),
-            ResolvedEngine::Statevector(e) => e.snapshot(n_qubits, noise, class),
-            ResolvedEngine::Stabilizer(e) => e.snapshot(n_qubits, noise, class),
-            ResolvedEngine::Sparse(e) => e.snapshot(n_qubits, noise, class),
-            ResolvedEngine::Trajectory(e) => e.snapshot(n_qubits, noise, class),
-        }
+    /// The state class this engine evolves a job of the given shape in, or
+    /// `None` for trajectories: each stream draws its RNG through the
+    /// whole program, so it cannot split mid-evolution, and a batch
+    /// schedules its streams instead. An exact engine whose representation
+    /// does not admit the job (resets, gate noise, non-Clifford gates)
+    /// falls back to [`StateClass::Density`] — the one place that fallback
+    /// is decided. It takes the full [`ProgramProfile`] because the class
+    /// encodes every representation choice an engine makes.
+    pub fn state_class(&self, noise: &NoiseModel, profile: &ProgramProfile) -> Option<StateClass> {
+        let (admitted, class) = match self {
+            ResolvedEngine::DensityMatrix => (true, StateClass::Density),
+            ResolvedEngine::Statevector => (sparse_admissible(noise, profile), StateClass::Pure),
+            ResolvedEngine::Stabilizer => (
+                stabilizer_admissible(noise, profile),
+                StateClass::Stabilizer,
+            ),
+            ResolvedEngine::Sparse => (sparse_admissible(noise, profile), StateClass::Sparse),
+            ResolvedEngine::Trajectory(_) => return None,
+        };
+        Some(if admitted { class } else { StateClass::Density })
     }
 }
 
@@ -861,7 +575,7 @@ mod tests {
             dm_max_qubits: 5,
             trajectories: TrajectoryConfig::default(),
         };
-        assert!(matches!(b.resolve(5), ResolvedEngine::DensityMatrix(_)));
+        assert!(matches!(b.resolve(5), ResolvedEngine::DensityMatrix));
         assert!(matches!(b.resolve(6), ResolvedEngine::Trajectory(_)));
         assert_eq!(b.resolve(5).name(), "density-matrix");
         assert_eq!(b.resolve(6).name(), "trajectory");

@@ -3,9 +3,10 @@
 //!
 //! The [`Executor`] mirrors the role of Qiskit's `AerSimulator` in the
 //! paper's artifact: callers hand it programs, it resolves a
-//! [`crate::backend::BackendEngine`] per program (exact density matrix for
-//! small registers, trajectories for large ones), applies the gate noise
-//! and terminal readout error, and returns outcome distributions.
+//! [`ResolvedEngine`] per program (an exact [`StateClass`] — density
+//! matrix for small registers — or trajectories for large ones), applies
+//! the gate noise and terminal readout error, and returns outcome
+//! distributions.
 //!
 //! Mitigation workloads are ensembles: one QSPC check alone runs
 //! `preps × bases` independent circuits. [`Runner::run_batch`] is the
@@ -16,17 +17,16 @@
 //! job is an item, and the items start heaviest first on the whole
 //! machine.
 
-use crate::backend::{self, BackendEngine, EngineState, ResolvedEngine};
+use crate::backend::{self, ResolvedEngine, StateClass};
 use crate::classify::ProgramProfile;
 use crate::density::DensityMatrix;
 use crate::noise::{apply_readout, NoiseModel};
 use crate::program::{Op, Program};
-use crate::statevector::StateVector;
 use crate::trajectory::{self, TrajectoryConfig, TrajectoryRun};
 use crate::trie::{ExecutionTrie, TrieStats};
 use qt_dist::{Counts, Distribution};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::backend::Backend;
 
@@ -743,8 +743,8 @@ struct TrajectoryJob<'a> {
     run: OnceLock<TrajectoryRun<'a>>,
 }
 
-/// One fork-capable batch group: jobs whose compacted programs share a
-/// register size and engine fork class, folded into one trie.
+/// One trie group of a batch: jobs whose compacted programs share a
+/// register size and state class, folded into one trie.
 struct BatchGroup {
     /// Batch indices, aligned with the trie's job numbering.
     jobs: Vec<usize>,
@@ -752,11 +752,7 @@ struct BatchGroup {
     /// Compacted measured qubits per trie job.
     measured: Vec<Vec<usize>>,
     n_qubits: usize,
-    class: u8,
-    /// The engine the group's jobs resolved to. A fork class pins the
-    /// state representation, so any engine producing the same class yields
-    /// bit-identical snapshots — the first job's engine stands for all.
-    engine: ResolvedEngine,
+    class: StateClass,
 }
 
 /// A noisy-circuit executor.
@@ -775,22 +771,23 @@ struct BatchGroup {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
-    noise: NoiseModel,
+    /// Shared by every state a run starts.
+    noise: Arc<NoiseModel>,
     backend: Backend,
 }
 
 impl Executor {
     /// Creates an executor with the default (auto) backend.
     pub fn new(noise: NoiseModel) -> Self {
-        Executor {
-            noise,
-            backend: Backend::default(),
-        }
+        Executor::with_backend(noise, Backend::default())
     }
 
     /// Creates an executor with an explicit backend.
     pub fn with_backend(noise: NoiseModel, backend: Backend) -> Self {
-        Executor { noise, backend }
+        Executor {
+            noise: Arc::new(noise),
+            backend,
+        }
     }
 
     /// The noise model.
@@ -806,12 +803,12 @@ impl Executor {
     /// The prefix-sharing batch path (see [`crate::trie`]).
     ///
     /// Per job, the same compaction the serial path applies yields the
-    /// program the engine actually simulates; jobs whose resolved engine
-    /// offers a fork class are grouped by `(register size, class)` and
-    /// folded into execution tries, and the rest (trajectory engines) run
-    /// stream by stream. Readout error and gate statistics use the
-    /// *original* job, exactly as [`Executor::run`] does, so the outputs
-    /// are bit-identical to the serial loop.
+    /// program the engine actually simulates; jobs of an exact engine are
+    /// grouped by `(register size, state class)` and folded into execution
+    /// tries, and trajectory jobs run stream by stream. Readout error and
+    /// gate statistics use the *original* job, exactly as
+    /// [`Executor::run`] does, so the outputs are bit-identical to the
+    /// serial loop.
     fn run_batch_trie(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
         if jobs.is_empty() {
             return Vec::new();
@@ -827,67 +824,36 @@ impl Executor {
         let measured_of =
             |i: usize| -> &[usize] { prepared[i].as_ref().map_or(&jobs[i].measured, |(_, m)| m) };
 
-        // Stage 2: partition into fork-capable groups and trajectory jobs.
-        // Engine selection uses the cached job profile (structure is
-        // invariant under compaction's qubit renaming) with the register
-        // size of the program actually simulated.
-        let mut by_class: BTreeMap<(usize, u8), Vec<usize>> = BTreeMap::new();
+        // Stage 2: partition into trie groups and trajectory jobs.
+        let mut by_class: BTreeMap<(usize, StateClass), Vec<usize>> = BTreeMap::new();
         let mut trajectory_jobs: Vec<TrajectoryJob> = Vec::new();
-        let mut resolved: Vec<Option<ResolvedEngine>> = vec![None; jobs.len()];
-        for i in 0..jobs.len() {
+        for (i, job) in jobs.iter().enumerate() {
             let p = program_of(i);
-            let profile = ProgramProfile {
-                n_qubits: p.n_qubits(),
-                ..*jobs[i].profile()
-            };
-            let engine = self
-                .backend
-                .resolve_for(p.n_qubits(), &self.noise, &profile);
-            match (engine.fork_class(&self.noise, &profile), engine) {
-                (Some(class), _) => {
-                    resolved[i] = Some(engine);
-                    by_class.entry((p.n_qubits(), class)).or_default().push(i);
-                }
-                (None, ResolvedEngine::Trajectory(t)) => trajectory_jobs.push(TrajectoryJob {
+            match self.engine_for(p.n_qubits(), job.profile()) {
+                (_, Some(class)) => by_class.entry((p.n_qubits(), class)).or_default().push(i),
+                (ResolvedEngine::Trajectory(config), None) => trajectory_jobs.push(TrajectoryJob {
                     job: i,
                     program: p,
                     measured: measured_of(i),
-                    config: t.config,
+                    config,
                     run: OnceLock::new(),
                 }),
-                (None, _) => unreachable!("only the trajectory engine lacks a fork class"),
+                (engine, None) => unreachable!("{} has a state class", engine.name()),
             }
         }
         let groups: Vec<BatchGroup> = by_class
             .into_iter()
             .map(|((n_qubits, class), idxs)| {
                 let programs: Vec<&Program> = idxs.iter().map(|&i| program_of(i)).collect();
-                let trie = ExecutionTrie::build(&programs);
-                let measured = idxs.iter().map(|&i| measured_of(i).to_vec()).collect();
-                let engine = resolved[idxs[0]].expect("grouped jobs have a resolved engine");
                 BatchGroup {
+                    trie: ExecutionTrie::build(&programs),
+                    measured: idxs.iter().map(|&i| measured_of(i).to_vec()).collect(),
                     jobs: idxs,
-                    trie,
-                    measured,
                     n_qubits,
                     class,
-                    engine,
                 }
             })
             .collect();
-
-        // One shared noise-model handle for every snapshot of the batch.
-        let noise_arc = std::sync::Arc::new(self.noise.clone());
-        let snapshot_of = |g: &BatchGroup| {
-            let engine = g.engine;
-            let (n_qubits, class) = (g.n_qubits, g.class);
-            let noise = &noise_arc;
-            move || {
-                engine
-                    .snapshot(n_qubits, noise, class)
-                    .expect("fork class implies snapshot capability")
-            }
-        };
 
         let mut raw: Vec<Option<Distribution>> = vec![None; jobs.len()];
 
@@ -895,7 +861,7 @@ impl Executor {
         // measured inline on a fresh state.
         for g in &groups {
             for &local in g.trie.root_jobs() {
-                let state = snapshot_of(g)();
+                let state = g.class.zero(g.n_qubits, &self.noise);
                 raw[g.jobs[local]] = Some(state.raw_distribution(&g.measured[local]));
             }
         }
@@ -909,7 +875,7 @@ impl Executor {
         // pool's workers every nested fan-out runs serially.
         let mut items: Vec<(f64, PoolItem)> = Vec::new();
         for (gi, g) in groups.iter().enumerate() {
-            let density_matrix = g.class == backend::FORK_CLASS_DM;
+            let density_matrix = g.class == StateClass::Density;
             for &child in g.trie.root_children() {
                 let work = work_estimate(g.trie.subtree_ops(child), g.n_qubits, density_matrix);
                 items.push((work, PoolItem::Subtree { group: gi, child }));
@@ -925,11 +891,10 @@ impl Executor {
             match items[k].1 {
                 PoolItem::Subtree { group, child } => {
                     let g = &groups[group];
-                    let init = snapshot_of(g);
-                    let init: &(dyn Fn() -> Box<dyn EngineState> + Sync) = &init;
+                    let init = || g.class.zero(g.n_qubits, &self.noise);
                     let (dists, _) = g.trie.execute_subtree(
                         child,
-                        init,
+                        &init,
                         &g.measured,
                         auto_live_states(g.n_qubits),
                     );
@@ -975,29 +940,43 @@ impl Executor {
     ///
     /// The program is first compacted onto its used qubits (plus `measured`)
     /// so that reduced ensemble circuits do not pay for idle wires, then
-    /// handed to the engine the backend resolves for the compacted size.
-    /// Engines that track a dense outcome table enforce
-    /// [`MAX_MEASURED_BITS`] themselves (see
-    /// [`crate::trajectory::run_distribution`]); sparse-native engines
-    /// accept any measured set up to 64 bits.
+    /// handed to the engine the backend resolves for the compacted size:
+    /// an exact engine walks it straight through on one state
+    /// ([`StateClass::run`]), the trajectory engine samples it. Engines
+    /// that track a dense outcome table enforce [`MAX_MEASURED_BITS`]
+    /// themselves (see [`crate::trajectory::run_distribution`]);
+    /// sparse-native engines accept any measured set up to 64 bits.
     pub fn raw_distribution(&self, program: &Program, measured: &[usize]) -> Distribution {
-        match self.compacted(program, measured) {
-            Some((p, m)) => self
-                .resolve_engine(&p)
-                .raw_distribution(&p, &self.noise, &m),
-            None => self
-                .resolve_engine(program)
-                .raw_distribution(program, &self.noise, measured),
+        let compacted = self.compacted(program, measured);
+        let (p, m) = compacted
+            .as_ref()
+            .map_or((program, measured), |(p, m)| (p, m.as_slice()));
+        match self.engine_for(p.n_qubits(), &ProgramProfile::of(program)) {
+            (_, Some(class)) => class.run(p, &self.noise, m),
+            (ResolvedEngine::Trajectory(config), None) => {
+                trajectory::run_distribution(p, &self.noise, m, &config)
+            }
+            (engine, None) => unreachable!("{} has a state class", engine.name()),
         }
     }
 
-    /// The engine [`Backend::resolve_for`] picks for a concrete program —
-    /// the one definition the serial path, the trie partition and the
-    /// engine-mix report all share.
-    fn resolve_engine(&self, program: &Program) -> ResolvedEngine {
-        let profile = ProgramProfile::of(program);
-        self.backend
-            .resolve_for(program.n_qubits(), &self.noise, &profile)
+    /// The engine a job resolves to and the state class it evolves in
+    /// (`None` for trajectories): [`Backend::resolve_for`] at `n_qubits`,
+    /// the register size of the program actually simulated, with the
+    /// job's profile, whose structure compaction's qubit renaming leaves
+    /// unchanged. The one resolution the batch path, the per-job path and
+    /// the engine-mix report share.
+    fn engine_for(
+        &self,
+        n_qubits: usize,
+        profile: &ProgramProfile,
+    ) -> (ResolvedEngine, Option<StateClass>) {
+        let profile = ProgramProfile {
+            n_qubits,
+            ..*profile
+        };
+        let engine = self.backend.resolve_for(n_qubits, &self.noise, &profile);
+        (engine, engine.state_class(&self.noise, &profile))
     }
 
     /// The engine name each job of a batch resolves to, aggregated into
@@ -1006,11 +985,12 @@ impl Executor {
     pub fn engine_mix_of(&self, jobs: &[BatchJob]) -> Vec<(String, usize)> {
         let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
         for job in jobs {
-            let name = match self.compacted(&job.program, &job.measured) {
-                Some((p, _)) => self.resolve_engine(&p).name(),
-                None => self.resolve_engine(&job.program).name(),
-            };
-            *counts.entry(name).or_insert(0) += 1;
+            let compacted = self.compacted(&job.program, &job.measured);
+            let n_qubits = compacted
+                .as_ref()
+                .map_or(job.program.n_qubits(), |(p, _)| p.n_qubits());
+            let (engine, _) = self.engine_for(n_qubits, job.profile());
+            *counts.entry(engine.name()).or_insert(0) += 1;
         }
         counts
             .into_iter()
@@ -1046,24 +1026,6 @@ impl Executor {
         apply_readout(&raw, measured, &self.noise.readout)
     }
 
-    /// Samples `shots` measurement outcomes from the noisy distribution —
-    /// the finite-shot pipeline the paper's hardware runs use (100 000
-    /// shots per circuit). Returns per-outcome counts over `measured`.
-    ///
-    /// Large shot counts are drawn in a fixed number of independent streams
-    /// executed across threads; the counts depend only on `seed` (never on
-    /// the machine's core count).
-    pub fn sampled_counts(
-        &self,
-        program: &Program,
-        measured: &[usize],
-        shots: usize,
-        seed: u64,
-    ) -> Counts {
-        let dist = self.noisy_distribution(program, measured);
-        sample_counts_deterministic(&dist, shots, seed, backend::available_threads())
-    }
-
     /// Runs the program on the exact density-matrix engine.
     ///
     /// # Panics
@@ -1079,21 +1041,12 @@ impl Executor {
 /// Uses a pure-state simulation when the program has no resets, otherwise
 /// the density-matrix engine.
 pub fn ideal_distribution(program: &Program, measured: &[usize]) -> Distribution {
-    let probs = if !program.has_resets() {
-        let mut sv = StateVector::zero(program.n_qubits());
-        for op in program.ops() {
-            if let Op::Gate(i) | Op::IdealGate(i) = op {
-                sv.apply_instruction(i);
-            }
-        }
-        sv.marginal_probabilities(measured)
+    let class = if program.has_resets() {
+        StateClass::Density
     } else {
-        Executor::new(NoiseModel::ideal())
-            .run_dm(program)
-            .marginal_probabilities(measured)
+        StateClass::Pure
     };
-    Distribution::try_from_probs(measured.len(), probs)
-        .expect("dense marginal fits its measured bit count")
+    class.run(program, &Arc::new(NoiseModel::ideal()), measured)
 }
 
 /// Compacts a program onto its used qubits (always including `measured`).
@@ -1292,11 +1245,12 @@ mod tests {
             Backend::DensityMatrix,
         );
         let shots = 40_000; // exercises the multi-stream path
-        let a = exec.sampled_counts(&prog, &[0, 1], shots, 11);
-        let b = exec.sampled_counts(&prog, &[0, 1], shots, 11);
+        let dist = exec.noisy_distribution(&prog, &[0, 1]);
+        let a = sample_counts_deterministic(&dist, shots, 11, 1);
+        let b = sample_counts_deterministic(&dist, shots, 11, 1);
         assert_eq!(a, b, "same seed must reproduce counts");
         assert_eq!(a.shots(), shots as u64);
-        let c2 = exec.sampled_counts(&prog, &[0, 1], shots, 12);
+        let c2 = sample_counts_deterministic(&dist, shots, 12, 1);
         assert_ne!(a, c2, "different seeds should differ");
     }
 }

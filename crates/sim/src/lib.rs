@@ -7,9 +7,9 @@
 //! * [`NoiseModel`]/[`KrausChannel`]/[`ReadoutModel`] — gate and readout
 //!   noise, including the measurement crosstalk Jigsaw exploits;
 //! * [`Program`] — circuits plus the mid-circuit wire resets QSPC needs;
-//! * [`backend`] — the [`BackendEngine`] abstraction every execution path
-//!   resolves to (exact DM vs. trajectories) plus the scoped-thread
-//!   helpers behind all parallel paths;
+//! * [`backend`] — the [`ResolvedEngine`] every execution path resolves to
+//!   (an exact [`StateClass`] of [`EngineState`], or trajectories) plus
+//!   the scoped-thread helpers behind all parallel paths;
 //! * [`Executor`] — noisy distribution extraction, readout application and
 //!   parallel batched execution ([`Runner::run_batch`]).
 //!
@@ -42,10 +42,7 @@ pub mod sync;
 pub mod trajectory;
 pub mod trie;
 
-pub use backend::{
-    Backend, BackendEngine, DensityMatrixEngine, EngineState, ResolvedEngine,
-    SparseStatevectorEngine, StabilizerEngine, StatevectorEngine, TrajectoryEngine,
-};
+pub use backend::{Backend, EngineState, ResolvedEngine, StateClass};
 pub use cache::{run_output_weight, CacheStats, ShardedLruCache};
 pub use classify::ProgramProfile;
 pub use density::DensityMatrix;

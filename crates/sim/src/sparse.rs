@@ -13,9 +13,10 @@
 //! stays dense: at that density the map is strictly more work per gate than
 //! a flat vector.
 
+use crate::backend::EngineState;
 use crate::classify::ProgramProfile;
 use crate::noise::NoiseModel;
-use crate::program::{Op, Program};
+use crate::program::Op;
 use crate::statevector::{self, StateVector};
 use qt_circuit::{GateStructure, Instruction};
 use qt_dist::Distribution;
@@ -37,7 +38,7 @@ enum Repr {
     Dense(StateVector),
 }
 
-/// The sparse statevector [`crate::backend::EngineState`] payload.
+/// The [`crate::backend::StateClass::Sparse`] state.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseState {
     n: usize,
@@ -57,20 +58,6 @@ impl SparseState {
         SparseState {
             n: n_qubits,
             repr: Repr::Map(map),
-        }
-    }
-
-    /// Applies one op.
-    ///
-    /// # Panics
-    ///
-    /// Panics on resets — the sparse fork class excludes them.
-    pub(crate) fn apply_op(&mut self, op: &Op) {
-        match op {
-            Op::Gate(i) | Op::IdealGate(i) => self.apply_gate(i),
-            Op::Reset { .. } => {
-                unreachable!("sparse fork class excludes programs with resets")
-            }
         }
     }
 
@@ -129,11 +116,6 @@ impl SparseState {
         self.repr = Repr::Dense(StateVector::from_amplitudes(amps));
     }
 
-    /// Exact checkpoint.
-    pub(crate) fn fork(&self) -> SparseState {
-        self.clone()
-    }
-
     /// Number of stored nonzero amplitudes (dense size once densified).
     #[cfg(test)]
     pub(crate) fn support(&self) -> usize {
@@ -142,12 +124,31 @@ impl SparseState {
             Repr::Dense(sv) => sv.amplitudes().len(),
         }
     }
+}
 
-    /// The outcome distribution over `measured` (bit `i` of the index =
-    /// `measured[i]`), summed in canonical key order. The map
-    /// representation emits sparse entries natively — no `2^|measured|`
-    /// buffer exists on this path, so wide measurement lists are fine.
-    pub(crate) fn raw_distribution(&self, measured: &[usize]) -> Distribution {
+impl EngineState for SparseState {
+    /// Applies one op.
+    ///
+    /// # Panics
+    ///
+    /// Panics on resets — the sparse state class excludes them.
+    fn apply_op(&mut self, op: &Op) {
+        match op {
+            Op::Gate(i) | Op::IdealGate(i) => self.apply_gate(i),
+            Op::Reset { .. } => {
+                unreachable!("sparse state class excludes programs with resets")
+            }
+        }
+    }
+
+    fn fork(&self) -> Box<dyn EngineState> {
+        Box::new(self.clone())
+    }
+
+    /// Sums in canonical key order. The map representation emits sparse
+    /// entries natively — no `2^|measured|` buffer exists on this path, so
+    /// wide measurement lists are fine.
+    fn raw_distribution(&self, measured: &[usize]) -> Distribution {
         match &self.repr {
             Repr::Dense(sv) => {
                 Distribution::try_from_probs(measured.len(), sv.marginal_probabilities(measured))
@@ -207,22 +208,18 @@ fn scatter(l: usize, qs: &[usize]) -> u64 {
     key
 }
 
-/// Runs `program` on a fresh sparse state and reads the distribution — the
-/// serial path of the sparse engine; callers check [`sparse_admissible`]
-/// first.
-pub(crate) fn sparse_distribution(program: &Program, measured: &[usize]) -> Distribution {
-    let mut st = SparseState::zero(program.n_qubits());
-    for op in program.ops() {
-        st.apply_op(op);
-    }
-    st.raw_distribution(measured)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StateClass;
+    use crate::program::Program;
     use crate::statevector::StateVector;
     use qt_circuit::{Circuit, Gate};
+    use std::sync::Arc;
+
+    fn sparse_dist(prog: &Program, measured: &[usize]) -> Distribution {
+        StateClass::Sparse.run(prog, &Arc::new(NoiseModel::ideal()), measured)
+    }
 
     fn dense_dist(prog: &Program, measured: &[usize]) -> Vec<f64> {
         let mut sv = StateVector::zero(prog.n_qubits());
@@ -255,13 +252,13 @@ mod tests {
             .rz(3, 0.2);
         let prog = Program::from_circuit(&c);
         assert_close(
-            &sparse_distribution(&prog, &[0, 1, 2, 3]),
+            &sparse_dist(&prog, &[0, 1, 2, 3]),
             &dense_dist(&prog, &[0, 1, 2, 3]),
             1e-12,
             "mixed circuit",
         );
         assert_close(
-            &sparse_distribution(&prog, &[3, 1]),
+            &sparse_dist(&prog, &[3, 1]),
             &dense_dist(&prog, &[3, 1]),
             1e-12,
             "subset measurement",

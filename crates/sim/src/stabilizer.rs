@@ -28,9 +28,10 @@
 //! evaluated with a Walsh–Hadamard transform — exact in one pass, with no
 //! trajectory variance.
 
+use crate::backend::EngineState;
 use crate::classify::ProgramProfile;
 use crate::noise::NoiseModel;
-use crate::program::{Op, Program};
+use crate::program::Op;
 use qt_circuit::{CliffordGate, Instruction};
 use qt_dist::Distribution;
 use qt_math::Pauli;
@@ -243,7 +244,7 @@ impl Tableau {
     }
 }
 
-/// The stabilizer [`crate::backend::EngineState`] payload: tableau plus the
+/// The [`crate::backend::StateClass::Stabilizer`] state: tableau plus the
 /// recorded noise events (mixed analytically at readout).
 #[derive(Debug, Clone)]
 pub(crate) struct StabilizerState {
@@ -259,31 +260,6 @@ impl StabilizerState {
             tab: Tableau::zero_state(n_qubits),
             noise,
             events: Vec::new(),
-        }
-    }
-
-    /// Applies one op: the Clifford conjugation, then (for noisy gates) one
-    /// [`NoiseEvent`] per attached channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-Clifford gates, resets, or non-Pauli channels — a
-    /// misclassified program must fail loudly, never silently approximate.
-    pub(crate) fn apply_op(&mut self, op: &Op) {
-        match op {
-            Op::IdealGate(i) => self.apply_clifford(i),
-            Op::Gate(i) => {
-                self.apply_clifford(i);
-                let noise = Arc::clone(&self.noise);
-                for (qs, ch) in noise.channels_for(i) {
-                    self.record_event(&qs, ch.pauli_mixture().expect(
-                        "stabilizer engine scheduled with non-Pauli noise (misclassified program)",
-                    ));
-                }
-            }
-            Op::Reset { .. } => {
-                unreachable!("stabilizer fork class excludes programs with resets")
-            }
         }
     }
 
@@ -332,18 +308,43 @@ impl StabilizerState {
             self.events.push(NoiseEvent { options });
         }
     }
+}
 
-    /// Exact checkpoint.
-    pub(crate) fn fork(&self) -> StabilizerState {
-        self.clone()
+impl EngineState for StabilizerState {
+    /// Applies one op: the Clifford conjugation, then (for noisy gates) one
+    /// [`NoiseEvent`] per attached channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-Clifford gates, resets, or non-Pauli channels — a
+    /// misclassified program must fail loudly, never silently approximate.
+    fn apply_op(&mut self, op: &Op) {
+        match op {
+            Op::IdealGate(i) => self.apply_clifford(i),
+            Op::Gate(i) => {
+                self.apply_clifford(i);
+                let noise = Arc::clone(&self.noise);
+                for (qs, ch) in noise.channels_for(i) {
+                    self.record_event(&qs, ch.pauli_mixture().expect(
+                        "stabilizer engine scheduled with non-Pauli noise (misclassified program)",
+                    ));
+                }
+            }
+            Op::Reset { .. } => {
+                unreachable!("stabilizer state class excludes programs with resets")
+            }
+        }
     }
 
-    /// The gate-noisy outcome distribution over `measured` (bit `i` of the
-    /// index = `measured[i]`), before readout error. Leaves accumulate into
-    /// a sorted outcome→mass map in a fixed descent order, so the result is
-    /// deterministic and no `2^|measured|` buffer ever exists — wide
-    /// measurement lists are as cheap as their outcome count.
-    pub(crate) fn raw_distribution(&self, measured: &[usize]) -> Distribution {
+    fn fork(&self) -> Box<dyn EngineState> {
+        Box::new(self.clone())
+    }
+
+    /// Leaves accumulate into a sorted outcome→mass map in a fixed descent
+    /// order, so the result is deterministic and no `2^|measured|` buffer
+    /// ever exists — wide measurement lists are as cheap as their outcome
+    /// count.
+    fn raw_distribution(&self, measured: &[usize]) -> Distribution {
         let mut out: BTreeMap<u64, f64> = BTreeMap::new();
         let walk = Walk {
             tab: self.tab.clone(),
@@ -531,29 +532,16 @@ impl Walk {
     }
 }
 
-/// Runs `program` on a fresh stabilizer state and reads the distribution —
-/// the serial path of the stabilizer engine; callers check
-/// [`stabilizer_admissible`] first.
-pub(crate) fn stabilizer_distribution(
-    program: &Program,
-    noise: &Arc<NoiseModel>,
-    measured: &[usize],
-) -> Distribution {
-    let mut st = StabilizerState::zero(program.n_qubits(), Arc::clone(noise));
-    for op in program.ops() {
-        st.apply_op(op);
-    }
-    st.raw_distribution(measured)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::density_evolution;
+    use crate::backend::{density_evolution, StateClass};
+    use crate::program::Program;
     use qt_circuit::{Circuit, Gate};
 
     fn stab_dist(prog: &Program, noise: &NoiseModel, measured: &[usize]) -> Vec<f64> {
-        stabilizer_distribution(prog, &Arc::new(noise.clone()), measured)
+        StateClass::Stabilizer
+            .run(prog, &Arc::new(noise.clone()), measured)
             .densify()
             .expect("test measurement lists are narrow")
     }
@@ -706,7 +694,7 @@ mod tests {
         assert!((d[7] - 0.5).abs() < 1e-12);
         // Reading out all 40 qubits emits a two-entry sparse distribution —
         // no 2^40 buffer anywhere.
-        let wide = stabilizer_distribution(
+        let wide = StateClass::Stabilizer.run(
             &prog,
             &Arc::new(NoiseModel::ideal()),
             &(0..40).collect::<Vec<_>>(),

@@ -157,8 +157,8 @@ struct Channel<'a> {
     qubits: Vec<usize>,
     kraus: &'a KrausChannel,
     /// For a mixture of unitaries, each branch's kernel, `None` for the
-    /// identity: a stratified draw keeps only non-identity branches and
-    /// replays them without re-classifying (empty for other channels).
+    /// identity: every draw, stratified or not, applies a drawn branch
+    /// without re-classifying it (empty for other channels).
     branches: Vec<Option<KernelClass>>,
 }
 
@@ -394,17 +394,7 @@ impl<'a> TrajectoryRun<'a> {
             pattern.clear();
             for (op, chans) in self.channels.iter().enumerate() {
                 for (channel, ch) in chans.iter().enumerate() {
-                    let probs = ch.kraus.mixture_probs().expect("stratified path");
-                    let r: f64 = rng.random();
-                    let mut cum = 0.0;
-                    let mut branch = probs.len() - 1;
-                    for (i, &p) in probs.iter().enumerate() {
-                        cum += p;
-                        if r < cum {
-                            branch = i;
-                            break;
-                        }
-                    }
+                    let branch = ch.draw_branch(rng);
                     if ch.branches[branch].is_some() {
                         pattern.push(DrawnError {
                             op,
@@ -443,7 +433,7 @@ impl<'a> TrajectoryRun<'a> {
             for op_idx in 0..n_ops {
                 self.apply_op(&mut sv, op_idx, rng);
                 for ch in &self.channels[op_idx] {
-                    sample_channel(&mut sv, ch.kraus, &ch.qubits, rng);
+                    ch.sample(&mut sv, rng);
                 }
             }
             sv
@@ -463,45 +453,55 @@ impl<'a> TrajectoryRun<'a> {
     }
 }
 
-/// Samples one Kraus branch of `ch` on `qs` and applies it to `sv`.
-fn sample_channel(sv: &mut StateVector, ch: &KrausChannel, qs: &[usize], rng: &mut StdRng) {
-    if let (Some(probs), Some(units)) = (ch.mixture_probs(), ch.mixture_unitaries()) {
+impl Channel<'_> {
+    /// The mixture branch one uniform draw from `rng` selects: the first
+    /// whose cumulative probability exceeds it, the last on the numerical
+    /// tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel is not a mixture of unitaries.
+    fn draw_branch(&self, rng: &mut StdRng) -> usize {
+        let probs = self.kraus.mixture_probs().expect("a mixture of unitaries");
         let r: f64 = rng.random();
         let mut cum = 0.0;
         for (i, &p) in probs.iter().enumerate() {
             cum += p;
             if r < cum {
-                if !is_identity_unitary(&units[i]) {
-                    sv.apply_op(&units[i], qs);
+                return i;
+            }
+        }
+        probs.len() - 1
+    }
+
+    /// Samples one Kraus branch and applies it to `sv`: a mixture branch
+    /// through its prepared kernel (nothing for the identity), any other
+    /// channel by Born-weighted Gram expectations.
+    fn sample(&self, sv: &mut StateVector, rng: &mut StdRng) {
+        if self.kraus.mixture_probs().is_some() {
+            if let Some(class) = &self.branches[self.draw_branch(rng)] {
+                sv.apply_class(class, &self.qubits);
+            }
+            return;
+        }
+        let (ch, qs) = (self.kraus, &self.qubits);
+        let r: f64 = rng.random();
+        let mut cum = 0.0;
+        let grams = ch.grams();
+        for (i, k) in ch.ops().iter().enumerate() {
+            let p = sv.expectation_local(&grams[i], qs).re.max(0.0);
+            cum += p;
+            if r < cum || i + 1 == ch.ops().len() {
+                sv.apply_op(k, qs);
+                // Renormalize.
+                let norm = sv.norm_sqr().sqrt();
+                if norm > 1e-12 {
+                    for a in sv.amplitudes_mut() {
+                        *a = a.scale(1.0 / norm);
+                    }
                 }
                 return;
             }
-        }
-        // Numerical tail: apply the last branch.
-        if let Some(u) = units.last() {
-            if !is_identity_unitary(u) {
-                sv.apply_op(u, qs);
-            }
-        }
-        return;
-    }
-    // General (state-dependent) Kraus sampling via Gram expectations.
-    let r: f64 = rng.random();
-    let mut cum = 0.0;
-    let grams = ch.grams();
-    for (i, k) in ch.ops().iter().enumerate() {
-        let p = sv.expectation_local(&grams[i], qs).re.max(0.0);
-        cum += p;
-        if r < cum || i + 1 == ch.ops().len() {
-            sv.apply_op(k, qs);
-            // Renormalize.
-            let norm = sv.norm_sqr().sqrt();
-            if norm > 1e-12 {
-                for a in sv.amplitudes_mut() {
-                    *a = a.scale(1.0 / norm);
-                }
-            }
-            return;
         }
     }
 }
@@ -830,6 +830,32 @@ mod tests {
             };
             let dist = run_distribution(&prog, &noise, &measured, &cfg);
             assert_eq!(bits_hash(&dist), PINNED_FIFTEEN, "{threads} threads");
+        }
+    }
+
+    /// The constant of a 6-qubit ring under depolarizing noise with
+    /// thermal relaxation on every two-qubit operand, recorded while
+    /// unstratified runs drew mixture branches through the raw unitaries.
+    const PINNED_UNSTRATIFIED: u64 = 0xfac6_c1fc_0ca0_041d;
+
+    #[test]
+    fn unstratified_ring_keeps_its_pinned_bits() {
+        // Thermal relaxation is no mixture of unitaries, so no trajectory
+        // stratifies, and every depolarizing draw runs `Channel::sample`.
+        let prog = Program::from_circuit(&hadamard_ring(6, 0.41, 0.33));
+        let mut noise = NoiseModel::depolarizing(0.004, 0.02);
+        noise.two_qubit.per_operand = vec![KrausChannel::thermal_relaxation(100.0, 80.0, 60.0)];
+        let measured: Vec<usize> = (0..6).collect();
+        for threads in [1, 2] {
+            let cfg = TrajectoryConfig {
+                n_trajectories: 256,
+                seed: 2024,
+                n_threads: Some(threads),
+            };
+            let run = TrajectoryRun::new(&prog, &noise, &measured, &cfg);
+            assert!(run.checkpoints.is_none(), "{threads} threads");
+            let dist = run_distribution(&prog, &noise, &measured, &cfg);
+            assert_eq!(bits_hash(&dist), PINNED_UNSTRATIFIED, "{threads} threads");
         }
     }
 

@@ -25,12 +25,13 @@
 //! Sharing is sound exactly when the engine is a *deterministic* function
 //! of the op stream: evolving the shared prefix once and bit-copying the
 //! state at a branch point yields, per leaf, the same sequence of kernel
-//! applications on the same intermediate values as an isolated run, so the
-//! results are bit-identical to the serial path (property-tested in
-//! `tests/trie_batch.rs`). Engines whose output is sampled from one
-//! program-wide RNG stream (trajectories) cannot split mid-program without
-//! changing the stream; they report no fork capability, and the batch
-//! executor runs their streams beside the trie subtrees instead.
+//! applications on the same intermediate values as an isolated run
+//! ([`crate::StateClass::run`]), so the results are bit-identical to the
+//! serial path (property-tested in `tests/trie_batch.rs`). Engines whose
+//! output is sampled from one program-wide RNG stream (trajectories)
+//! cannot split mid-program without changing the stream; they have no
+//! state class, and the batch executor runs their streams beside the trie
+//! subtrees instead.
 //!
 //! # Memory budget
 //!

