@@ -107,6 +107,13 @@ pub enum DistError {
         /// Bits of the global distribution.
         n_bits: usize,
     },
+    /// The outcome space is wider than a `u64` outcome index can address.
+    TooManyBits {
+        /// The requested outcome-space width.
+        n_bits: usize,
+        /// The widest representable space ([`MAX_OUTCOME_BITS`]).
+        max_bits: usize,
+    },
 }
 
 impl std::fmt::Display for DistError {
@@ -133,6 +140,10 @@ impl std::fmt::Display for DistError {
             DistError::PositionOutOfRange { position, n_bits } => {
                 write!(f, "bit position {position} out of {n_bits} global bits")
             }
+            DistError::TooManyBits { n_bits, max_bits } => write!(
+                f,
+                "{n_bits} outcome bits exceed the {max_bits}-bit outcome index"
+            ),
         }
     }
 }
@@ -150,11 +161,17 @@ fn check_dense_cap(n_bits: usize) -> Result<(), DistError> {
     }
 }
 
-fn check_outcome_bits(n_bits: usize) {
-    assert!(
-        n_bits <= MAX_OUTCOME_BITS,
-        "outcome indices are u64 bit patterns: {n_bits} bits is not representable"
-    );
+/// Outcome indices are `u64` bit patterns: a wider space is not
+/// representable.
+fn check_outcome_bits(n_bits: usize) -> Result<(), DistError> {
+    if n_bits > MAX_OUTCOME_BITS {
+        Err(DistError::TooManyBits {
+            n_bits,
+            max_bits: MAX_OUTCOME_BITS,
+        })
+    } else {
+        Ok(())
+    }
 }
 
 /// Number of outcomes of an `n_bits`-bit space (`u128`: 64-bit spaces are
@@ -361,9 +378,10 @@ impl Distribution {
     ///
     /// # Errors
     ///
+    /// [`DistError::TooManyBits`] if `n_bits` exceeds [`MAX_OUTCOME_BITS`];
     /// [`DistError::ExcessEntries`] if `probs` is longer than `2^n_bits`.
     pub fn try_from_probs(n_bits: usize, probs: Vec<f64>) -> Result<Self, DistError> {
-        check_outcome_bits(n_bits);
+        check_outcome_bits(n_bits)?;
         if u128::try_from(probs.len()).unwrap_or(u128::MAX) > dim_of(n_bits) {
             return Err(DistError::ExcessEntries {
                 len: probs.len(),
@@ -383,10 +401,11 @@ impl Distribution {
     ///
     /// # Errors
     ///
+    /// [`DistError::TooManyBits`] if `n_bits` exceeds [`MAX_OUTCOME_BITS`];
     /// [`DistError::IndexOutOfRange`] if any outcome does not fit
     /// `n_bits`.
     pub fn try_from_entries(n_bits: usize, entries: Vec<(u64, f64)>) -> Result<Self, DistError> {
-        check_outcome_bits(n_bits);
+        check_outcome_bits(n_bits)?;
         let entries = sorted_entries(n_bits, entries, |a, b| a + b)?;
         Ok(Distribution {
             n_bits,
@@ -599,9 +618,10 @@ impl Counts {
     ///
     /// # Errors
     ///
+    /// [`DistError::TooManyBits`] if `n_bits` exceeds [`MAX_OUTCOME_BITS`];
     /// [`DistError::ExcessEntries`] if `counts` is longer than `2^n_bits`.
     pub fn try_from_counts(n_bits: usize, counts: Vec<u64>) -> Result<Self, DistError> {
-        check_outcome_bits(n_bits);
+        check_outcome_bits(n_bits)?;
         if u128::try_from(counts.len()).unwrap_or(u128::MAX) > dim_of(n_bits) {
             return Err(DistError::ExcessEntries {
                 len: counts.len(),
@@ -620,10 +640,11 @@ impl Counts {
     ///
     /// # Errors
     ///
+    /// [`DistError::TooManyBits`] if `n_bits` exceeds [`MAX_OUTCOME_BITS`];
     /// [`DistError::IndexOutOfRange`] if any outcome does not fit
     /// `n_bits`.
     pub fn try_from_entries(n_bits: usize, entries: Vec<(u64, u64)>) -> Result<Self, DistError> {
-        check_outcome_bits(n_bits);
+        check_outcome_bits(n_bits)?;
         let entries = sorted_entries(n_bits, entries, |a: u64, b: u64| a + b)?;
         Ok(Counts {
             n_bits,
@@ -941,6 +962,26 @@ mod tests {
         let err = Distribution::try_from_probs(1, vec![0.2; 3]).expect_err("3 entries, 1 bit");
         assert_eq!(err, DistError::ExcessEntries { len: 3, n_bits: 1 });
         assert!(err.to_string().contains("do not fit"));
+    }
+
+    #[test]
+    fn constructors_reject_spaces_wider_than_the_outcome_index() {
+        let wide = MAX_OUTCOME_BITS + 1;
+        let want = DistError::TooManyBits {
+            n_bits: wide,
+            max_bits: MAX_OUTCOME_BITS,
+        };
+        assert_eq!(Distribution::try_from_probs(wide, vec![]), Err(want));
+        assert_eq!(
+            Distribution::try_from_entries(wide, vec![(0, 1.0)]),
+            Err(want)
+        );
+        assert_eq!(Counts::try_from_counts(wide, vec![1]), Err(want));
+        assert_eq!(Counts::try_from_entries(wide, vec![]), Err(want));
+        assert!(want.to_string().contains("65 outcome bits"));
+        // 64 bits is the widest representable space.
+        let top = Distribution::try_from_entries(64, vec![(u64::MAX, 1.0)]).unwrap();
+        assert_eq!(top.prob(u64::MAX), 1.0);
     }
 
     #[test]

@@ -233,20 +233,21 @@ impl ServiceClient {
             .map_err(ClientError::Decode)
     }
 
-    /// Polls `result` until the job finishes or `timeout` elapses.
+    /// Polls `result` until the job finishes or `timeout` elapses (a
+    /// timeout past what the clock can represent polls without bound).
     ///
     /// # Errors
     ///
     /// [`ClientError::Timeout`] when time runs out; any transport or
     /// server error as soon as it occurs.
     pub fn wait_result(&self, job: u64, timeout: Duration) -> Result<QuTracerReport, ClientError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut backoff = Duration::from_micros(200);
         loop {
             if let Some(report) = self.result(job)? {
                 return Ok(report);
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(ClientError::Timeout { job });
             }
             std::thread::sleep(backoff);

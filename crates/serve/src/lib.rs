@@ -13,10 +13,10 @@
 //!
 //! * [`json`] / [`wire`] — the codec and the typed wire forms (exact
 //!   float round-trips; `u64` outcomes as decimal strings);
-//! * [`queue`] — bounded admission with non-blocking rejection and the
-//!   size-or-deadline drain trigger;
-//! * [`service`] — the engine: job registry, sharded LRU result cache
-//!   (from [`qt_sim::cache`]), cross-request dedup + merged execution;
+//! * [`service`] — the engine: one lock over a sans-IO state machine
+//!   (bounded non-blocking admission, the size-or-deadline batch window,
+//!   the job registry, the counters), the sharded LRU result cache (from
+//!   [`qt_sim::cache`]), cross-request dedup + merged execution;
 //! * [`server`] / [`client`] — the HTTP shell and a blocking client;
 //! * [`error`] — [`ServiceError`] with HTTP status mapping.
 //!
@@ -46,10 +46,10 @@
 //! ```
 
 pub mod client;
+mod core;
 pub mod error;
 pub mod http;
 pub mod json;
-pub mod queue;
 pub mod server;
 pub mod service;
 pub mod wire;
@@ -57,6 +57,5 @@ pub mod wire;
 pub use client::{ClientError, ServiceClient};
 pub use error::ServiceError;
 pub use json::{Json, JsonError};
-pub use queue::{BoundedQueue, PushError};
 pub use server::{serve, ServerHandle};
 pub use service::{JobState, MitigationService, ServiceConfig, ServiceStats};

@@ -91,8 +91,8 @@ pub fn serve<R: Runner + Send + Sync + 'static>(
                 let Ok(stream) = stream else { continue };
                 let service = Arc::clone(&service);
                 // One short-lived thread per connection: each handles a
-                // single request and closes. The bounded queue, not the
-                // thread count, is the admission mechanism.
+                // single request and closes. The service's queue bound,
+                // not the thread count, is the admission mechanism.
                 std::thread::spawn(move || handle_connection(stream, &service));
             }
         })

@@ -2,6 +2,13 @@
 //! result cache and the job registry. HTTP is a thin shell over this
 //! module (see [`crate::server`]); tests can drive the engine directly.
 //!
+//! The whole mutable state — pending requests, the batch window, the job
+//! registry and every counter — is one sans-IO state machine under one
+//! `Mutex`. [`MitigationService`] drives it: it reads the clock, runs the
+//! batcher thread and executes each batch outside the lock. One condvar
+//! wakes the batcher (on every submit and on shutdown), the other wakes
+//! waiters (after every batch and on shutdown).
+//!
 //! # Data flow
 //!
 //! ```text
@@ -37,23 +44,22 @@
 //! while failing queued work with [`ServiceError::ShuttingDown`] — every
 //! submitted job terminates with a report or a typed error, never a hang.
 
+use crate::core::{Next, RanBatch, ServiceCore, Ticket, Work};
 use crate::error::ServiceError;
-use crate::queue::{BoundedQueue, PushError};
 use qt_circuit::Circuit;
-use qt_core::{
-    ExecError, MitigationPlan, MitigationSession, PlanView, QuTracer, QuTracerConfig,
-    QuTracerReport, ShotPolicy,
-};
+use qt_core::{MitigationSession, PlanView, QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy};
 use qt_sim::cache::{run_output_weight, CacheStats, ShardedLruCache};
 use qt_sim::{
-    batch_trie_stats, try_run_batch_resilient, wait_timeout_recover, BatchJob, FailureStats,
-    JobInterner, LockRecoverExt, RetryPolicy, RunError, RunOutput, Runner, TrieStats,
+    batch_trie_stats, try_run_batch_resilient, wait_recover, wait_timeout_recover, BatchJob,
+    FailureStats, JobInterner, LockRecoverExt, RetryPolicy, RunError, RunOutput, Runner, TrieStats,
 };
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Shard count of the result cache. Only the batcher thread looks up and
+/// inserts, so more shards would save no contention.
+const CACHE_SHARDS: usize = 8;
 
 /// Tunables of one service instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,8 +75,6 @@ pub struct ServiceConfig {
     pub batch_deadline: Duration,
     /// Byte budget of the shared result cache; `0` disables caching.
     pub cache_bytes: usize,
-    /// Shard count of the result cache (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Retry budget for transient job failures during batch execution
     /// (see [`qt_sim::try_run_batch_resilient`]). Retried work is
     /// bit-identical to first-attempt success, so retries never change a
@@ -90,7 +94,6 @@ impl Default for ServiceConfig {
             batch_max_requests: 8,
             batch_deadline: Duration::from_millis(2),
             cache_bytes: 32 << 20,
-            cache_shards: 8,
             retry: RetryPolicy::default(),
             request_deadline: None,
         }
@@ -133,137 +136,10 @@ impl JobState {
             JobState::Failed(_) => "failed",
         }
     }
-}
 
-impl JobState {
     /// `true` once the job can no longer change state.
-    fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(self, JobState::Done(_) | JobState::Failed(_))
-    }
-}
-
-/// A job-registry entry: where the job is plus its server-side deadline.
-struct JobEntry {
-    state: JobState,
-    /// Instant past which the job fails with
-    /// [`ServiceError::DeadlineExceeded`]; `None` when deadlines are off.
-    deadline: Option<Instant>,
-}
-
-/// Finished (`Done`/`Failed`) jobs the registry keeps: beyond this many,
-/// the oldest finished entry is evicted and its id answers
-/// [`ServiceError::NotFound`]. Queued and running jobs are never evicted,
-/// so the registry holds at most this many entries plus the work in
-/// flight, however long the service runs.
-const MAX_FINISHED_JOBS: usize = 1024;
-
-/// Every job the service answers for, plus the finish order of the
-/// terminal ones.
-#[derive(Default)]
-struct JobRegistry {
-    entries: HashMap<u64, JobEntry>,
-    /// Ids of terminal entries, oldest first.
-    finished: VecDeque<u64>,
-    completed: u64,
-    failed: u64,
-}
-
-impl JobRegistry {
-    /// Moves job `id` to a terminal state: the one path of every delivery,
-    /// deadline expiry and shutdown. Counts the outcome, records the id in
-    /// finish order and evicts the oldest finished entries beyond
-    /// [`MAX_FINISHED_JOBS`]. Unknown or already finished ids are left as
-    /// they are.
-    fn finish(&mut self, id: u64, state: JobState) {
-        debug_assert!(state.is_terminal(), "finish needs a terminal state");
-        let Some(entry) = self.entries.get_mut(&id) else {
-            return;
-        };
-        if entry.state.is_terminal() {
-            return;
-        }
-        match state {
-            JobState::Done(_) => self.completed += 1,
-            _ => self.failed += 1,
-        }
-        entry.state = state;
-        self.finished.push_back(id);
-        while self.finished.len() > MAX_FINISHED_JOBS {
-            if let Some(oldest) = self.finished.pop_front() {
-                self.entries.remove(&oldest);
-            }
-        }
-    }
-
-    /// Whether `id` is still waiting or running.
-    fn is_live(&self, id: u64) -> bool {
-        self.entries
-            .get(&id)
-            .is_some_and(|entry| !entry.state.is_terminal())
-    }
-}
-
-/// The terminal state of a finished request.
-fn outcome_state(outcome: Result<QuTracerReport, ServiceError>) -> JobState {
-    match outcome {
-        Ok(report) => JobState::Done(Arc::new(report)),
-        Err(e) => JobState::Failed(e),
-    }
-}
-
-/// One admitted request travelling from `submit` to the batcher. The
-/// job's deadline lives in its [`JobEntry`]; the batcher observes it
-/// through [`MitigationService::expire_if_overdue`] at pick-up/delivery.
-struct Ticket {
-    id: u64,
-    work: Work,
-}
-
-/// What a ticket carries through the batcher.
-enum Work {
-    /// An exact single-pass request (the original `submit` surface).
-    Exact(Box<MitigationPlan>),
-    /// A finite-shot mitigation session: its jobs execute once through
-    /// the same cross-request batcher and cache as exact work, and the
-    /// session samples every round from those exact outputs
-    /// ([`MitigationSession::finish_exact`]) — bit-identical to running
-    /// the session offline against the same runner.
-    Session(Box<MitigationSession<MitigationPlan>>),
-}
-
-impl Work {
-    /// The request's batch jobs, in the order its recombination expects
-    /// results back.
-    fn batch_jobs(&self) -> Vec<BatchJob> {
-        match self {
-            Work::Exact(plan) => plan.batch_jobs(),
-            Work::Session(session) => session.jobs().to_vec(),
-        }
-    }
-
-    fn view(&self) -> PlanView {
-        match self {
-            Work::Exact(plan) => plan.view(),
-            Work::Session(session) => session.strategy().view(),
-        }
-    }
-
-    /// The request's report from its batch jobs' exact outputs (in
-    /// [`Work::batch_jobs`] order) and the runner's engine mix.
-    fn complete(
-        self,
-        outputs: Vec<RunOutput>,
-        engine_mix: Option<Vec<(String, usize)>>,
-    ) -> Result<QuTracerReport, ExecError> {
-        match self {
-            Work::Exact(plan) => plan
-                .artifacts_from_outputs(outputs, engine_mix)?
-                .recombine(),
-            Work::Session(mut session) => {
-                session.set_engine_mix(engine_mix);
-                session.finish_exact(&outputs)
-            }
-        }
     }
 }
 
@@ -308,22 +184,13 @@ pub struct ServiceStats {
 pub struct MitigationService<R> {
     runner: R,
     config: ServiceConfig,
-    queue: BoundedQueue<Ticket>,
-    jobs: Mutex<JobRegistry>,
-    /// Signalled whenever a job reaches a terminal state.
+    /// The whole mutable state: the one lock.
+    core: Mutex<ServiceCore>,
+    /// Wakes the batcher: signalled by every submit and by shutdown.
+    batch_cv: Condvar,
+    /// Wakes waiters: signalled after every batch and by shutdown.
     done_cv: Condvar,
-    next_id: AtomicU64,
     cache: Option<ShardedLruCache<RunOutput>>,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    distinct_jobs: AtomicU64,
-    cache_hit_jobs: AtomicU64,
-    executed_jobs: AtomicU64,
-    batch_trie: Mutex<TrieStats>,
-    run_failures: Mutex<FailureStats>,
-    deadline_expired: AtomicU64,
 }
 
 impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
@@ -332,25 +199,14 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     /// drive [`MitigationService::process_next_batch`] manually in tests).
     pub fn new(runner: R, config: ServiceConfig) -> Arc<Self> {
         let cache = (config.cache_bytes > 0)
-            .then(|| ShardedLruCache::new(config.cache_bytes, config.cache_shards));
+            .then(|| ShardedLruCache::new(config.cache_bytes, CACHE_SHARDS));
         Arc::new(MitigationService {
             runner,
             config,
-            queue: BoundedQueue::new(config.queue_capacity),
-            jobs: Mutex::new(JobRegistry::default()),
+            core: Mutex::new(ServiceCore::new(config)),
+            batch_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            next_id: AtomicU64::new(1),
             cache,
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            distinct_jobs: AtomicU64::new(0),
-            cache_hit_jobs: AtomicU64::new(0),
-            executed_jobs: AtomicU64::new(0),
-            batch_trie: Mutex::new(TrieStats::default()),
-            run_failures: Mutex::new(FailureStats::default()),
-            deadline_expired: AtomicU64::new(0),
         })
     }
 
@@ -389,16 +245,17 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     /// session's jobs execute once through the shared batcher and result
     /// cache, and every round (two for a genuinely adaptive policy)
     /// samples that execution in the same batch pass; the served report is
-    /// bit-identical to [`MitigationPlan::run_sampled`] offline against
-    /// the same runner.
+    /// bit-identical to
+    /// [`MitigationPlan::run_sampled`](qt_core::MitigationPlan::run_sampled)
+    /// offline against the same runner.
     ///
     /// # Errors
     ///
     /// As [`MitigationService::submit`], plus
     /// [`ServiceError::Exec`] wrapping
-    /// [`ExecError::InsufficientShotBudget`] /
-    /// [`ExecError::InvalidPilotFraction`] for an unfundable budget or a
-    /// malformed adaptive policy.
+    /// [`ExecError::InsufficientShotBudget`](qt_core::ExecError::InsufficientShotBudget) /
+    /// [`ExecError::InvalidPilotFraction`](qt_core::ExecError::InvalidPilotFraction)
+    /// for an unfundable budget or a malformed adaptive policy.
     pub fn submit_sampled(
         &self,
         circuit: &Circuit,
@@ -415,60 +272,9 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     }
 
     fn admit(&self, work: Work) -> Result<u64, ServiceError> {
-        let view = work.view();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let deadline = self.config.request_deadline.map(|d| Instant::now() + d);
-        self.jobs.lock_recover().entries.insert(
-            id,
-            JobEntry {
-                state: JobState::Queued(view),
-                deadline,
-            },
-        );
-        match self.queue.try_push(Ticket { id, work }) {
-            Ok(()) => {
-                self.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(id)
-            }
-            Err(e) => {
-                self.jobs.lock_recover().entries.remove(&id);
-                match e {
-                    PushError::Full => {
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
-                        Err(ServiceError::Overloaded {
-                            capacity: self.queue.capacity(),
-                        })
-                    }
-                    PushError::Closed => Err(ServiceError::ShuttingDown),
-                }
-            }
-        }
-    }
-
-    /// Fails job `id` with [`ServiceError::DeadlineExceeded`] if its
-    /// server-side deadline has passed and it is still non-terminal.
-    /// Expiry is observed lazily — at every registry access and at the
-    /// batcher's pick-up and delivery points — so an expired job turns
-    /// into a typed 504 wherever it is next touched.
-    fn expire_if_overdue(&self, jobs: &mut JobRegistry, id: u64) {
-        let overdue = jobs.entries.get(&id).is_some_and(|entry| {
-            !entry.state.is_terminal() && entry.deadline.is_some_and(|d| Instant::now() >= d)
-        });
-        if overdue {
-            let deadline_millis = self
-                .config
-                .request_deadline
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0);
-            jobs.finish(
-                id,
-                JobState::Failed(ServiceError::DeadlineExceeded {
-                    job: id,
-                    deadline_millis,
-                }),
-            );
-            self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        }
+        let id = self.core.lock_recover().submit(Instant::now(), work)?;
+        self.batch_cv.notify_one();
+        Ok(id)
     }
 
     /// The current state of job `id`.
@@ -478,12 +284,8 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     /// [`ServiceError::NotFound`] for unknown ids, including finished jobs
     /// evicted from the registry: it keeps the newest 1024 finished jobs.
     pub fn status(&self, id: u64) -> Result<JobState, ServiceError> {
-        let mut jobs = self.jobs.lock_recover();
-        self.expire_if_overdue(&mut jobs, id);
-        jobs.entries
-            .get(&id)
-            .map(|entry| entry.state.clone())
-            .ok_or(ServiceError::NotFound { job: id })
+        let mut core = self.core.lock_recover();
+        Ok(core.state(Instant::now(), id)?.state.clone())
     }
 
     /// The finished report for job `id`, `None` while it is still in
@@ -502,7 +304,8 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         }
     }
 
-    /// Blocks until job `id` reaches a terminal state, up to `timeout`.
+    /// Blocks until job `id` reaches a terminal state, up to `timeout`
+    /// (a timeout past what the clock can represent waits without bound).
     ///
     /// # Errors
     ///
@@ -515,60 +318,38 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
         id: u64,
         timeout: Duration,
     ) -> Result<Arc<QuTracerReport>, ServiceError> {
-        let deadline = Instant::now() + timeout;
-        let mut jobs = self.jobs.lock_recover();
+        let deadline = Instant::now().checked_add(timeout);
+        let mut core = self.core.lock_recover();
         loop {
-            self.expire_if_overdue(&mut jobs, id);
-            let Some(entry) = jobs.entries.get(&id) else {
-                return Err(ServiceError::NotFound { job: id });
-            };
+            let now = Instant::now();
+            let entry = core.state(now, id)?;
             match &entry.state {
                 JobState::Done(report) => return Ok(Arc::clone(report)),
                 JobState::Failed(e) => return Err(e.clone()),
-                _ => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(ServiceError::NotFound { job: id });
-                    }
-                    let mut wait = deadline - now;
-                    if let Some(d) = entry.deadline {
-                        // Wake when the job's own server-side deadline
-                        // lands, so expiry is observed even if nothing is
-                        // ever delivered. The floor avoids a hot loop when
-                        // the deadline falls between two clock reads.
-                        let until_expiry = d
-                            .saturating_duration_since(now)
-                            .max(Duration::from_micros(50));
-                        wait = wait.min(until_expiry);
-                    }
-                    let (next, _) = wait_timeout_recover(&self.done_cv, jobs, wait);
-                    jobs = next;
+                _ if deadline.is_some_and(|d| now >= d) => {
+                    return Err(ServiceError::NotFound { job: id })
                 }
+                _ => {}
             }
+            // Also wake when the job's own server-side deadline lands, so
+            // expiry is observed even if nothing is ever delivered. The
+            // floor avoids a hot loop when the deadline falls between two
+            // clock reads.
+            let expiry = entry
+                .deadline
+                .map(|d| d.max(now + Duration::from_micros(50)));
+            core = match deadline.into_iter().chain(expiry).min() {
+                Some(wake) => wait_timeout_recover(&self.done_cv, core, wake - now).0,
+                None => wait_recover(&self.done_cv, core),
+            };
         }
     }
 
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        let (completed, failed) = {
-            let jobs = self.jobs.lock_recover();
-            (jobs.completed, jobs.failed)
-        };
         ServiceStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed,
-            failed,
-            queue_depth: self.queue.len(),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            distinct_jobs: self.distinct_jobs.load(Ordering::Relaxed),
-            cache_hit_jobs: self.cache_hit_jobs.load(Ordering::Relaxed),
-            executed_jobs: self.executed_jobs.load(Ordering::Relaxed),
-            cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
-            batch_trie: *self.batch_trie.lock_recover(),
-            run_failures: *self.run_failures.lock_recover(),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
+            cache: self.cache_stats(),
+            ..self.core.lock_recover().stats()
         }
     }
 
@@ -582,7 +363,7 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     /// probe behind `GET /ready`. Liveness (`GET /health`) is simply the
     /// process answering.
     pub fn is_accepting(&self) -> bool {
-        !self.queue.is_closed()
+        self.core.lock_recover().is_accepting()
     }
 
     /// Drain-shutdown: stops admission, fails everything still *queued*
@@ -591,159 +372,87 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     /// [`MitigationService::wait_result`] never hangs across a shutdown —
     /// every job resolves to its report or a typed error.
     pub fn shutdown(&self) {
-        let orphans = self.queue.close_and_take();
-        if !orphans.is_empty() {
-            let mut jobs = self.jobs.lock_recover();
-            for ticket in &orphans {
-                jobs.finish(ticket.id, JobState::Failed(ServiceError::ShuttingDown));
-            }
-        }
+        self.core.lock_recover().shutdown();
+        self.batch_cv.notify_all();
         self.done_cv.notify_all();
     }
 
-    /// Drains and processes one batch. Returns `false` once the queue is
-    /// closed and empty — the batcher's exit condition.
+    /// Waits for, runs and delivers one batch. Returns `false` once the
+    /// service is shut down and nothing is queued — the batcher's exit
+    /// condition.
     pub fn process_next_batch(&self) -> bool {
-        let Some(batch) = self
-            .queue
-            .drain(self.config.batch_max_requests, self.config.batch_deadline)
-        else {
-            return false;
+        let mut core = self.core.lock_recover();
+        let batch = loop {
+            core = match core.next_batch(Instant::now()) {
+                Next::Run(batch) => break batch,
+                Next::Exit => return false,
+                Next::Wait(None) => wait_recover(&self.batch_cv, core),
+                Next::Wait(Some(until)) => {
+                    let wait = until.saturating_duration_since(Instant::now());
+                    wait_timeout_recover(&self.batch_cv, core, wait).0
+                }
+            };
         };
-        self.process_batch(batch);
+        drop(core);
+        let ran = execute_batch(&self.runner, self.cache.as_ref(), &self.config.retry, batch);
+        // Held from the scatter to the last delivery: a poll landing
+        // meanwhile waits for its report instead of reading "pending".
+        self.core
+            .lock_recover()
+            .deliver(Instant::now(), ran, |jobs| self.runner.engine_mix(jobs));
+        self.done_cv.notify_all();
         true
     }
+}
 
-    /// Executes one drained batch: cross-request dedup, cache lookups,
-    /// one merged *resilient* run over the misses (panic quarantine by
-    /// bisection, bounded retry of transients — see
-    /// [`qt_sim::try_run_batch_resilient`]), then per-request scatter and
-    /// recombination. A job failure voids only the requests that depend
-    /// on that job: healthy cohabitants of the same batch still get
-    /// reports bit-identical to a fault-free run.
-    fn process_batch(&self, batch: Vec<Ticket>) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        // Pick-up: requests already past their deadline fail right here
-        // (typed 504, no execution spent); the rest are marked Running.
-        let mut live: Vec<Ticket> = Vec::with_capacity(batch.len());
-        {
-            let mut jobs = self.jobs.lock_recover();
-            for ticket in batch {
-                self.expire_if_overdue(&mut jobs, ticket.id);
-                let Some(entry) = jobs.entries.get_mut(&ticket.id) else {
-                    continue;
-                };
-                if entry.state.is_terminal() {
-                    continue;
-                }
-                if let JobState::Queued(view) = &entry.state {
-                    entry.state = JobState::Running(view.clone());
-                }
-                live.push(ticket);
-            }
-        }
-        if live.is_empty() {
-            self.done_cv.notify_all();
-            return;
-        }
-
-        // Cross-request dedup: every request's plan-order jobs land in one
-        // shared table; equal jobs (same structural key) occupy one slot
-        // no matter which user submitted them.
-        let per_request: Vec<Vec<BatchJob>> = live.iter().map(|t| t.work.batch_jobs()).collect();
-        let mut interner = JobInterner::new();
-        let mut table: Vec<BatchJob> = Vec::new();
-        let request_slots: Vec<Vec<usize>> = per_request
-            .iter()
-            .map(|jobs| {
-                jobs.iter()
-                    .map(|job| interner.intern_with(&mut table, job.clone(), |job| job).0)
-                    .collect()
-            })
-            .collect();
-        self.distinct_jobs
-            .fetch_add(table.len() as u64, Ordering::Relaxed);
-
-        // Cache lookups per distinct job; the remainder executes as ONE
-        // batch so the trie scheduler merges shared prefixes across
-        // requests. Results are per-slot `Result`s: a failed job poisons
-        // only the requests whose plans reference its slot.
-        let mut results: Vec<Option<Result<RunOutput, RunError>>> = vec![None; table.len()];
-        let mut miss_slots: Vec<usize> = Vec::new();
-        for (slot, job) in table.iter().enumerate() {
-            if let Some(cache) = &self.cache {
-                if let Some(out) = cache.get(job.dedup_key()) {
-                    results[slot] = Some(Ok(out));
-                    continue;
-                }
-            }
-            miss_slots.push(slot);
-        }
-        self.cache_hit_jobs
-            .fetch_add((table.len() - miss_slots.len()) as u64, Ordering::Relaxed);
-        self.executed_jobs
-            .fetch_add(miss_slots.len() as u64, Ordering::Relaxed);
-
-        if !miss_slots.is_empty() {
-            let miss_jobs: Vec<BatchJob> =
-                miss_slots.iter().map(|&slot| table[slot].clone()).collect();
-            self.batch_trie
-                .lock_recover()
-                .absorb(&batch_trie_stats(&miss_jobs));
-            // The resilient path isolates panics (batch bisection), turns
-            // contract violations and corrupt shapes into typed errors and
-            // retries transients within the configured budget — it always
-            // returns exactly one Result per job and never unwinds into
-            // the batcher thread.
-            let (fresh, fail_stats) =
-                try_run_batch_resilient(&self.runner, &miss_jobs, &self.config.retry);
-            self.run_failures.lock_recover().merge(&fail_stats);
-            for (&slot, res) in miss_slots.iter().zip(fresh) {
-                if let (Some(cache), Ok(out)) = (&self.cache, &res) {
-                    cache.insert(table[slot].dedup_key(), out.clone(), run_output_weight(out));
-                }
-                results[slot] = Some(res);
-            }
-        }
-
-        // Scatter back per request and complete each one independently:
-        // every request, exact or sampled, reaches a terminal state here.
-        let mut jobs = self.jobs.lock_recover();
-        for ((ticket, slots), own_jobs) in live.into_iter().zip(&request_slots).zip(&per_request) {
-            let id = ticket.id;
-            // Delivery-point deadline check: a report that missed its
-            // deadline is discarded, not delivered late.
-            self.expire_if_overdue(&mut jobs, id);
-            if !jobs.is_live(id) {
-                continue;
-            }
-            let gathered: Result<Vec<RunOutput>, ServiceError> = slots
+/// Runs one taken batch without the service lock: cross-request dedup,
+/// cache lookups, and one merged *resilient* run over the misses (panic
+/// quarantine by bisection, bounded retry of transients — see
+/// [`qt_sim::try_run_batch_resilient`]). Results stay per distinct job,
+/// so a job failure later voids only the requests that depend on it.
+pub(crate) fn execute_batch<R: Runner>(
+    runner: &R,
+    cache: Option<&ShardedLruCache<RunOutput>>,
+    retry: &RetryPolicy,
+    tickets: Vec<Ticket>,
+) -> RanBatch {
+    // Cross-request dedup: every request's plan-order jobs land in one
+    // shared table; equal jobs (same structural key) occupy one slot no
+    // matter which user submitted them.
+    let mut interner = JobInterner::new();
+    let mut table: Vec<BatchJob> = Vec::new();
+    let requests: Vec<(Ticket, Vec<BatchJob>, Vec<usize>)> = tickets
+        .into_iter()
+        .map(|ticket| {
+            let jobs = ticket.work.batch_jobs();
+            let slots = jobs
                 .iter()
-                .enumerate()
-                .map(|(local, &slot)| match &results[slot] {
-                    Some(Ok(out)) => Ok(out.clone()),
-                    Some(Err(error)) => Err(ServiceError::Exec(ExecError::JobFailed {
-                        slot: local,
-                        error: error.clone(),
-                    })),
-                    None => Err(ServiceError::Exec(ExecError::ResultCountMismatch {
-                        expected: slots.len(),
-                        got: 0,
-                    })),
-                })
+                .map(|job| interner.intern_with(&mut table, job.clone(), |job| job).0)
                 .collect();
-            let outcome = gathered.and_then(|outputs| {
-                let engine_mix = self.runner.engine_mix(own_jobs);
-                ticket
-                    .work
-                    .complete(outputs, engine_mix)
-                    .map_err(ServiceError::Exec)
-            });
-            jobs.finish(id, outcome_state(outcome));
+            (ticket, jobs, slots)
+        })
+        .collect();
+
+    // Cache lookups per distinct job; the misses execute as ONE batch so
+    // the trie scheduler merges shared prefixes across requests.
+    let mut results: Vec<Option<Result<RunOutput, RunError>>> = table
+        .iter()
+        .map(|job| cache.and_then(|cache| cache.get(job.dedup_key())).map(Ok))
+        .collect();
+    let misses: Vec<usize> = (0..table.len()).filter(|&s| results[s].is_none()).collect();
+    let miss_jobs: Vec<BatchJob> = misses.iter().map(|&slot| table[slot].clone()).collect();
+    let (fresh, failures) = try_run_batch_resilient(runner, &miss_jobs, retry);
+    for (&slot, res) in misses.iter().zip(fresh) {
+        if let (Some(cache), Ok(out)) = (cache, &res) {
+            cache.insert(table[slot].dedup_key(), out.clone(), run_output_weight(out));
         }
-        drop(jobs);
-        self.done_cv.notify_all();
+        results[slot] = Some(res);
+    }
+    RanBatch {
+        requests,
+        cache_hit_jobs: (table.len() - misses.len()) as u64,
+        trie: batch_trie_stats(&miss_jobs),
+        failures,
+        results,
     }
 }

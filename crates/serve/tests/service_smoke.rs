@@ -421,3 +421,63 @@ fn http_shell_maps_errors_to_statuses() {
     }
     server.shutdown();
 }
+
+/// A Bell pair and its offline report: the request the `Duration::MAX`
+/// tests below serve.
+fn bell() -> (Circuit, QuTracerReport) {
+    let mut c = Circuit::new(2);
+    c.h(0).cx(0, 1);
+    let local = run_qutracer(&runner(), &c, &[0, 1], &QuTracerConfig::single());
+    (c, local)
+}
+
+/// `Duration::MAX` as the service's own wait bound means "no bound": the
+/// wait serves the report instead of overflowing the clock.
+#[test]
+fn service_wait_with_duration_max_serves_the_report() {
+    let (c, local) = bell();
+    let service = MitigationService::new(runner(), ServiceConfig::default());
+    let batcher = service.spawn_batcher();
+    let job = service
+        .submit(&c, &[0, 1], &QuTracerConfig::single())
+        .unwrap();
+    let served = service.wait_result(job, Duration::MAX).unwrap();
+    assert_report_identical(&served, &local);
+    service.shutdown();
+    batcher.join().expect("batcher exits cleanly");
+}
+
+/// `Duration::MAX` as the client's poll bound means "no bound".
+#[test]
+fn client_wait_with_duration_max_serves_the_report() {
+    let (c, local) = bell();
+    let server = serve("127.0.0.1:0", runner(), ServiceConfig::default()).expect("bind");
+    let client = ServiceClient::new(server.addr());
+    let job = client
+        .submit(&c, &[0, 1], &QuTracerConfig::single())
+        .unwrap();
+    let served = client.wait_result(job, Duration::MAX).unwrap();
+    server.shutdown();
+    assert_report_identical(&served, &local);
+}
+
+/// A `Duration::MAX` request deadline admits the request and never
+/// expires it.
+#[test]
+fn duration_max_request_deadline_admits_and_serves() {
+    let (c, local) = bell();
+    let config = ServiceConfig {
+        request_deadline: Some(Duration::MAX),
+        ..ServiceConfig::default()
+    };
+    let server = serve("127.0.0.1:0", runner(), config).expect("bind");
+    let client = ServiceClient::new(server.addr());
+    let job = client
+        .submit(&c, &[0, 1], &QuTracerConfig::single())
+        .unwrap();
+    let served = client.wait_result(job, Duration::from_secs(60)).unwrap();
+    let stats = server.service().stats();
+    server.shutdown();
+    assert_report_identical(&served, &local);
+    assert_eq!(stats.deadline_expired, 0);
+}

@@ -16,7 +16,7 @@
 //!
 //! * **single-call mutations** — the section performs one insert / remove /
 //!   push / state overwrite on an always-valid collection (job maps, the
-//!   bounded queue, LRU shards), so there is no intermediate state to
+//!   service's pending queue, LRU shards), so there is no intermediate state to
 //!   observe; or
 //! * **mutate-last** — fallible/panicky work (allocation, execution) runs
 //!   *before* the lock is taken, and the section only publishes finished
