@@ -22,8 +22,8 @@ use qt_circuit::{passes, Circuit, Instruction};
 use qt_dist::{recombine, Distribution};
 use qt_math::{Matrix, Pauli};
 use qt_pcs::{
-    bloch_state_from_expectations, combine_single_mitigated, tabulate_single, QspcConfig,
-    QspcSingleSpec,
+    bloch_state_from_expectations, combine_mitigated, tabulate, EnsembleKey, QspcConfig, QspcSpec,
+    SubsetPauli,
 };
 use qt_sim::{BatchJob, JobInterner, Program, RunOutput, Runner};
 
@@ -61,6 +61,13 @@ impl std::fmt::Display for SqemUnsupported {
 
 impl std::error::Error for SqemUnsupported {}
 
+/// The reconstructed components of a traced qubit: its whole Bloch vector.
+const BLOCH_AXES: [SubsetPauli; 3] = [
+    [Pauli::X, Pauli::I],
+    [Pauli::Y, Pauli::I],
+    [Pauli::Z, Pauli::I],
+];
+
 /// The planned reconstruction of one traced qubit.
 #[derive(Debug, Clone)]
 struct SqemQubitPlan {
@@ -75,8 +82,8 @@ struct SqemQubitPlan {
 
 #[derive(Debug, Clone)]
 struct SqemCheckPlan {
-    /// `(prep, basis)` keys aligned with `slots`.
-    keys: Vec<(qt_math::states::PrepState, Pauli)>,
+    /// Ensemble keys aligned with `slots`.
+    keys: Vec<EnsembleKey>,
     /// Indices into the plan's deduplicated program table.
     slots: Vec<usize>,
     /// Subset-local instructions applied classically after the check.
@@ -143,13 +150,13 @@ pub fn plan_sqem(circuit: &Circuit, measured: &[usize]) -> Result<SqemPlan, Sqem
                 for instr in &seg.check {
                     segment.push(instr.gate.clone(), instr.qubits.clone());
                 }
-                let spec = QspcSingleSpec {
-                    qubit,
+                let spec = QspcSpec {
+                    qubits: &[qubit],
                     prefix: &prefix,
                     segment: &segment,
                     config: QspcConfig::sqem(),
                 };
-                let ens = spec.ensemble(&spec.mitigated_bases(&[Pauli::X, Pauli::Y, Pauli::Z]));
+                let ens = spec.ensemble(&spec.settings(&BLOCH_AXES));
                 let slots = ens
                     .jobs
                     .into_iter()
@@ -229,13 +236,9 @@ impl MitigationStrategy for SqemPlan {
             let mut rho = qp.rho_pre.clone();
             if let Some(cp) = &qp.check {
                 let outs: Vec<RunOutput> = cp.slots.iter().map(|&s| outputs[s].clone()).collect();
-                let (e, stats) = tabulate_single(&cp.keys, &outs);
-                let (exps, _den) = combine_single_mitigated(
-                    &QspcConfig::sqem(),
-                    &rho,
-                    &[Pauli::X, Pauli::Y, Pauli::Z],
-                    &e,
-                );
+                let (table, stats) = tabulate(&cp.keys, &outs);
+                let (exps, _den) =
+                    combine_mitigated(&QspcConfig::sqem(), &rho, &BLOCH_AXES, &table);
                 rho = bloch_state_from_expectations(&exps);
                 rho = apply_local(&rho, &cp.post_local, None);
                 n_circuits += stats.n_circuits;
@@ -367,6 +370,48 @@ mod tests {
         );
         let report = run_sqem(&exec, &circ, &measured).unwrap();
         assert_eq!(report.stats.n_circuits, 1 + 4 * 18);
+    }
+
+    /// SQEM reports are pinned bit for bit on the two pinned subset-walk
+    /// workloads it supports (one check layer per qubit): FNV-1a over the
+    /// refined and global distributions and the overhead statistics.
+    #[test]
+    fn sqem_reports_are_pinned() {
+        fn eat(h: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *h = (*h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let exec = Executor::with_backend(
+            NoiseModel::depolarizing(0.003, 0.03)
+                .with_readout_model(qt_sim::ReadoutModel::with_crosstalk(0.04, 0.02)),
+            Backend::DensityMatrix,
+        );
+        let workloads = [
+            (vqe_ansatz(5, 1, 3), (0..5).collect::<Vec<usize>>()),
+            (bernstein_vazirani(5, 0b10111), (0..5).collect()),
+        ];
+        let got = workloads.map(|(circ, measured)| {
+            let report = run_sqem(&exec, &circ, &measured).unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for dist in [&report.distribution, &report.global] {
+                for (outcome, p) in dist.iter() {
+                    eat(&mut h, outcome);
+                    eat(&mut h, p.to_bits());
+                }
+            }
+            let st = &report.stats;
+            eat(&mut h, st.n_circuits as u64);
+            eat(&mut h, st.normalized_shots.to_bits());
+            eat(&mut h, st.avg_two_qubit_gates.to_bits());
+            eat(&mut h, st.global_two_qubit_gates as u64);
+            h
+        });
+        assert_eq!(
+            got,
+            [0x1329_5a05_12b1_72c7, 0x923f_baac_01fe_42d9],
+            "{got:#x?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use qt_circuit::Circuit;
 use qt_core::{run_qutracer, trace_single, QuTracerConfig, TraceConfig};
 use qt_dist::{hellinger_fidelity, recombine, Distribution};
 use qt_math::Pauli;
-use qt_pcs::{combine_single_mitigated, tabulate_single, QspcConfig, QspcSingleSpec};
+use qt_pcs::{combine_mitigated, tabulate, QspcConfig, QspcSpec, SubsetPauli};
 use qt_sim::{Backend, Executor, NoiseModel, Runner};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -30,13 +30,13 @@ fn vqe_pieces(n: usize) -> (Circuit, Circuit) {
 /// execute it as one batch, tabulate and combine.
 fn single_check(
     exec: &Executor,
-    spec: &QspcSingleSpec,
+    spec: &QspcSpec,
     rho_in: &qt_math::Matrix,
-) -> (BTreeMap<Pauli, f64>, f64) {
-    let outputs = [Pauli::Z];
-    let ens = spec.ensemble(&spec.mitigated_bases(&outputs));
-    let (e, _) = tabulate_single(&ens.keys, &exec.run_batch(&ens.jobs));
-    combine_single_mitigated(&spec.config, rho_in, &outputs, &e)
+) -> (BTreeMap<SubsetPauli, f64>, f64) {
+    let outputs = [[Pauli::Z, Pauli::I]];
+    let ens = spec.ensemble(&spec.settings(&outputs));
+    let (e, _) = tabulate(&ens.keys, &exec.run_batch(&ens.jobs));
+    combine_mitigated(&spec.config, rho_in, &outputs, &e)
 }
 
 fn bench_qspc(c: &mut Criterion) {
@@ -49,8 +49,8 @@ fn bench_qspc(c: &mut Criterion) {
     let (prefix, segment) = vqe_pieces(6);
     let rho_in = qt_math::states::PrepState::Plus.projector();
     group.bench_function("single_check_6q", |b| {
-        let spec = QspcSingleSpec {
-            qubit: 0,
+        let spec = QspcSpec {
+            qubits: &[0],
             prefix: &prefix,
             segment: &segment,
             config: QspcConfig::default(),

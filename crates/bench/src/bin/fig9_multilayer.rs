@@ -118,9 +118,10 @@ fn ideal_pcs_trailing(
         if still_pre && on_pair && !blocks {
             pre.push(instr.gate.clone(), instr.qubits.clone());
         } else {
-            if on_pair && !blocks {
-                // A later mixer: everything from here on cannot be checked;
-                // append to the tail after the sandwich.
+            if on_pair {
+                // The first pair gate kept in the window ends the hoisted
+                // prefix: a later mixer cannot move ahead of it, so from
+                // here on it goes to the tail after the sandwich.
                 still_pre = false;
             }
             trimmed.push(instr.gate.clone(), instr.qubits.clone());

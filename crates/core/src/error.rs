@@ -32,6 +32,9 @@ pub enum PlanError {
         /// The circuit's register size.
         n_qubits: usize,
     },
+    /// Pair tracing asked for the six-state preparation basis
+    /// (`use_reduced_preps: false`), which only single qubits support.
+    FullPrepsForPairs,
     /// Pair tracing needs at least two measured qubits.
     MeasuredTooSmall {
         /// Qubits the configuration needs.
@@ -70,6 +73,13 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::InvalidMeasured { qubit, .. } => {
                 write!(f, "measured qubit {qubit} is listed more than once")
+            }
+            PlanError::FullPrepsForPairs => {
+                write!(
+                    f,
+                    "pair tracing supports only the reduced preparation basis \
+                     (use_reduced_preps = true)"
+                )
             }
             PlanError::MeasuredTooSmall { needed, got } => {
                 write!(f, "need at least {needed} measured qubits, got {got}")

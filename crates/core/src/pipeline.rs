@@ -53,8 +53,7 @@ use crate::error::{ExecError, PlanError, SkippedSubset};
 use crate::framework::{enumerate_subset_positions, QuTracerConfig, QuTracerReport};
 use crate::session::MitigationSession;
 use crate::trace::{
-    trace_pair_with_port, trace_single_with_port, CollectPort, JobKind, JobTag, ReplayPort,
-    TraceError, TraceOutcome,
+    trace_with_port, CollectPort, JobKind, JobTag, ReplayPort, TraceError, TraceOutcome,
 };
 use qt_baselines::{
     apportion_shots, ExecutionRecord, JobFailures, MitigationStrategy, OverheadStats, StrategyError,
@@ -217,9 +216,11 @@ impl QuTracer {
     /// # Errors
     ///
     /// [`PlanError::UnsupportedSubsetSize`] for subset sizes outside
-    /// `{1, 2}`; [`PlanError::InvalidMeasured`] for a measured qubit
-    /// outside the register or listed twice; [`PlanError::MeasuredTooSmall`]
-    /// when pair tracing has fewer than two measured qubits.
+    /// `{1, 2}`; [`PlanError::FullPrepsForPairs`] when pair tracing asks
+    /// for the six-state preparation basis; [`PlanError::InvalidMeasured`]
+    /// for a measured qubit outside the register or listed twice;
+    /// [`PlanError::MeasuredTooSmall`] when pair tracing has fewer than two
+    /// measured qubits.
     pub fn plan(
         circuit: &Circuit,
         measured: &[usize],
@@ -229,6 +230,9 @@ impl QuTracer {
             return Err(PlanError::UnsupportedSubsetSize {
                 size: config.subset_size,
             });
+        }
+        if config.subset_size == 2 && !config.trace.use_reduced_preps {
+            return Err(PlanError::FullPrepsForPairs);
         }
         let n_qubits = circuit.n_qubits();
         let mut seen = vec![false; n_qubits];
@@ -286,14 +290,12 @@ impl QuTracer {
                 }
             }
             let mut sink: Vec<(BatchJob, JobTag)> = Vec::new();
-            let walk = {
-                let mut port = CollectPort { sink: &mut sink };
-                if config.subset_size == 1 {
-                    trace_single_with_port(&mut port, circuit, qubits[0], &config.trace)
-                } else {
-                    trace_pair_with_port(&mut port, circuit, [qubits[0], qubits[1]], &config.trace)
-                }
-            };
+            let walk = trace_with_port(
+                &mut CollectPort { sink: &mut sink },
+                circuit,
+                &qubits,
+                &config.trace,
+            );
             match walk {
                 Ok(outcome) => {
                     let slots: Vec<usize> = sink
@@ -805,16 +807,7 @@ impl ExecutionArtifacts<'_> {
             }
             let outs: Vec<RunOutput> = t.slots.iter().map(|&s| self.outputs[s].clone()).collect();
             let mut port = ReplayPort::new(&outs);
-            let walk = if t.qubits.len() == 1 {
-                trace_single_with_port(&mut port, &plan.circuit, t.qubits[0], &plan.config.trace)
-            } else {
-                trace_pair_with_port(
-                    &mut port,
-                    &plan.circuit,
-                    [t.qubits[0], t.qubits[1]],
-                    &plan.config.trace,
-                )
-            };
+            let walk = trace_with_port(&mut port, &plan.circuit, &t.qubits, &plan.config.trace);
             let outcome = walk.map_err(|e| match e {
                 TraceError::Exec(x) => x,
                 TraceError::Coupling(c) => ExecError::PlanMismatch {

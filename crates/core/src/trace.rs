@@ -1,10 +1,10 @@
 //! Per-subset state tracing: the heart of the QuTracer framework.
 //!
-//! For each traced subset (one qubit or a pair), the circuit is segmented
+//! For each traced subset of `k ∈ {1, 2}` qubits, the circuit is segmented
 //! into alternating *local* blocks (subset-only gates, simulated classically
 //! — *localized gate simulation*) and *check segments* (operations commuting
-//! with Z on the subset). The subset's density matrix is then walked through
-//! the circuit:
+//! with Z on the subset). One walk, `trace_with_port`, then carries the
+//! subset's density matrix through the circuit for either size:
 //!
 //! * local blocks update it exactly (and noiselessly) on the classical side;
 //! * at each cut the *off-diagonal* components are (re)estimated by direct
@@ -12,13 +12,21 @@
 //!   state at (1,3)" step, Sec. V-C) — the Z-diagonal, which a Z-commuting
 //!   segment preserves exactly, carries the **mitigated** information across
 //!   layers;
-//! * checked segments update the state with the QSPC-mitigated output;
+//! * checked segments update the state with the output of one QSPC check
+//!   over the group `{I, Z}^⊗k` ([`qt_pcs::QspcSpec`]);
 //! * unchecked segments (outside the checked window of Fig. 9) simply mark
-//!   the tracked state stale, so the next cut re-measures everything.
+//!   the tracked state stale, so the next cut re-measures it.
 //!
 //! *State traceback* restricts which Pauli components are estimated at each
 //! cut to exactly the ones the terminal Z measurement can depend on,
 //! pulled backwards through the local blocks.
+//!
+//! Two rules depend on the subset size. A single qubit re-measures
+//! every stale component after an unchecked segment, where a pair measures
+//! only what its check consumes. And a single qubit clips its Bloch vector
+//! to the unit ball before the eigenvalue repair both sizes share, while
+//! its final local clamps `p0` to `[0, 1]` where a pair clips its diagonal
+//! at zero.
 //!
 //! # Execution ports
 //!
@@ -28,7 +36,8 @@
 //! `TracePort` with three interchangeable backends:
 //!
 //! * `LivePort` submits each request to a [`Runner`] immediately (the
-//!   classic serial behaviour of [`trace_single`]/[`trace_pair`]);
+//!   classic serial behaviour of [`trace_single`]/[`trace_pair`], two thin
+//!   wrappers of the walk);
 //! * `CollectPort` records every requested program, tagged by
 //!   (subset, segment, preparation, basis) — stage 1 of the pipeline;
 //! * `ReplayPort` feeds previously executed results back through the
@@ -44,8 +53,8 @@ use qt_dist::Distribution;
 use qt_math::states::PrepState;
 use qt_math::{Complex, Matrix, Pauli};
 use qt_pcs::{
-    combine_pair_mitigated, combine_single_mitigated, project_to_physical, tabulate_pair,
-    tabulate_single, QspcPairSpec, QspcSingleSpec, QspcStats,
+    combine_mitigated, parity_expectations, pauli_operator, project_to_physical, subset_paulis,
+    tabulate, QspcSpec, QspcStats, SubsetPauli,
 };
 use qt_sim::{BatchJob, Program, RunOutput, Runner};
 use std::collections::{BTreeMap, BTreeSet};
@@ -60,7 +69,10 @@ pub struct TraceConfig {
     /// Check only this many trailing check segments (`None` = all);
     /// earlier segments propagate unmitigated (Fig. 9's sweep).
     pub checked_layers: Option<usize>,
-    /// Use the reduced 4-state preparation basis.
+    /// Use the reduced 4-state preparation basis. `false` selects the
+    /// six-state basis, which only single qubits support:
+    /// [`crate::QuTracer::plan`] rejects it for pairs with
+    /// [`crate::PlanError::FullPrepsForPairs`].
     pub use_reduced_preps: bool,
     /// Denominator floor forwarded to the QSPC engine.
     pub den_floor: f64,
@@ -272,12 +284,7 @@ pub fn trace_single<R: Runner>(
     qubit: usize,
     config: &TraceConfig,
 ) -> Result<TraceOutcome, UnsupportedCoupling> {
-    let mut port = LivePort { runner };
-    match trace_single_with_port(&mut port, circuit, qubit, config) {
-        Ok(o) => Ok(o),
-        Err(TraceError::Coupling(e)) => Err(e),
-        Err(TraceError::Exec(_)) => unreachable!("live port is infallible"),
-    }
+    trace_live(runner, circuit, &[qubit], config)
 }
 
 /// Traces a qubit pair through `circuit` (subset size 2), executing each
@@ -293,8 +300,17 @@ pub fn trace_pair<R: Runner>(
     pair: [usize; 2],
     config: &TraceConfig,
 ) -> Result<TraceOutcome, UnsupportedCoupling> {
-    let mut port = LivePort { runner };
-    match trace_pair_with_port(&mut port, circuit, pair, config) {
+    trace_live(runner, circuit, &pair, config)
+}
+
+/// The walk of `subset` on a [`LivePort`].
+fn trace_live<R: Runner>(
+    runner: &R,
+    circuit: &Circuit,
+    subset: &[usize],
+    config: &TraceConfig,
+) -> Result<TraceOutcome, UnsupportedCoupling> {
+    match trace_with_port(&mut LivePort { runner }, circuit, subset, config) {
         Ok(o) => Ok(o),
         Err(TraceError::Coupling(e)) => Err(e),
         Err(TraceError::Exec(_)) => unreachable!("live port is infallible"),
@@ -302,21 +318,25 @@ pub fn trace_pair<R: Runner>(
 }
 
 // ---------------------------------------------------------------------
-// Ported walks.
+// The ported walk.
 // ---------------------------------------------------------------------
 
-pub(crate) fn trace_single_with_port(
+/// Walks `subset` (one or two qubits; `subset[0]` is bit 0 of local
+/// indices) through `circuit`, sending every program request to `port`.
+pub(crate) fn trace_with_port(
     port: &mut dyn TracePort,
     circuit: &Circuit,
-    qubit: usize,
+    subset: &[usize],
     config: &TraceConfig,
 ) -> Result<TraceOutcome, TraceError> {
-    let segments = split_into_segments(circuit, &[qubit])?;
+    let k = subset.len();
+    let segments = split_into_segments(circuit, subset)?;
     let n = circuit.n_qubits();
-    let checked = checked_set(&segments, &[qubit], config.checked_layers);
-    let needed_at = compute_needed_single(&segments, qubit, config.state_traceback);
+    let checked = checked_set(&segments, subset, config.checked_layers);
+    let needed_at = compute_needed(&segments, subset, config.state_traceback);
 
-    let mut rho = qt_math::states::PrepState::Zero.projector();
+    let zero = PrepState::Zero.projector();
+    let mut rho = if k == 1 { zero } else { zero.kron(&zero) };
     let mut prefix = Circuit::new(n);
     let mut stats = QspcStats::default();
     let mut checks_applied = 0usize;
@@ -328,11 +348,11 @@ pub(crate) fn trace_single_with_port(
     let mut offdiag_valid = true;
 
     for (i, seg) in segments.iter().enumerate() {
-        rho = apply_local_block(&rho, &seg.local, &[qubit]);
+        rho = apply_local_block(&rho, &seg.local, subset);
         for instr in &seg.local {
             prefix.push(instr.gate.clone(), instr.qubits.clone());
         }
-        if !seg.check_touches(&[qubit]) {
+        if !seg.check_touches(subset) {
             for instr in &seg.check {
                 prefix.push(instr.gate.clone(), instr.qubits.clone());
             }
@@ -349,33 +369,41 @@ pub(crate) fn trace_single_with_port(
             offdiag_valid = false;
             continue;
         }
+        let downstream = &needed_at[i];
 
         // ---- refresh the input state where it went stale ----
-        let mut bases: Vec<Pauli> = Vec::new();
-        if !offdiag_valid {
-            bases.push(Pauli::X);
-            bases.push(Pauli::Y);
-        }
-        if !diag_valid {
-            bases.push(Pauli::Z);
-        }
-        if !bases.is_empty() {
-            let measured =
-                measure_marginal_single(port, &prefix, qubit, &bases, config, &mut stats, i)?;
-            rho = overwrite_bloch(&rho, &measured);
+        // A single qubit re-measures every stale component; a pair only
+        // those its check consumes for the downstream outputs.
+        let inputs = if k == 1 {
+            subset_paulis(1)
+        } else {
+            expand_inputs(k, downstream)
+        };
+        let stale: Vec<SubsetPauli> = inputs
+            .into_iter()
+            .filter(|&p| {
+                if is_diagonal(p) {
+                    !diag_valid
+                } else {
+                    !offdiag_valid
+                }
+            })
+            .collect();
+        if !stale.is_empty() {
+            let measured = measure_marginal(port, &prefix, subset, &stale, config, &mut stats, i)?;
+            rho = overwrite_components(&rho, k, &measured);
         }
 
         // ---- mitigated update through the checked segment ----
         // While the cut state is provably product, severing is exact and the
-        // full mitigated state (incl. X/Y) is requested from QSPC — the
-        // paper's QPE/BV regime. At entangled cuts only the severing-immune
-        // diagonal is mitigated; off-diagonals come from a true-marginal
-        // measurement at the post-check cut.
-        let downstream: Vec<Pauli> = needed_at[i].to_vec();
-        let outputs: Vec<Pauli> = if offdiag_exact {
+        // full mitigated state (incl. off-diagonals) is requested from QSPC
+        // — the paper's QPE/BV regime. At entangled cuts only the
+        // severing-immune diagonal is mitigated; off-diagonals come from a
+        // true-marginal measurement at the post-check cut.
+        let outputs = if offdiag_exact {
             downstream.clone()
         } else {
-            vec![Pauli::Z]
+            diagonal_paulis(k)
         };
         let mut segment = Circuit::new(n);
         for instr in &seg.check {
@@ -383,57 +411,48 @@ pub(crate) fn trace_single_with_port(
         }
         checks_applied += 1;
         let qspc_config = config.qspc();
-        let exps = {
-            let spec = QspcSingleSpec {
-                qubit,
-                prefix: &prefix,
-                segment: &segment,
-                config: qspc_config,
-            };
-            let ens = spec.ensemble(&spec.mitigated_bases(&outputs));
-            let tags = ens
-                .keys
-                .iter()
-                .map(|&(s, b)| JobTag {
-                    subset: vec![qubit],
-                    segment: Some(i),
-                    kind: JobKind::Ensemble {
-                        prep_low: s,
-                        prep_high: None,
-                        basis_low: b,
-                        basis_high: None,
-                    },
-                })
-                .collect();
-            let outs = port.submit(ens.jobs, tags)?;
-            let (e, st) = tabulate_single(&ens.keys, &outs);
-            stats = add_stats(stats, st);
-            let (exps, _den) = combine_single_mitigated(&qspc_config, &rho, &outputs, &e);
-            exps
+        let spec = QspcSpec {
+            qubits: subset,
+            prefix: &prefix,
+            segment: &segment,
+            config: qspc_config,
         };
-        let mut m = Matrix::identity(2).scale(Complex::real(0.5));
-        for (&p, &v) in &exps {
-            if p != Pauli::I {
-                m = m.add(&p.matrix().scale(Complex::real(v / 2.0)));
-            }
-        }
-        rho = project_to_physical(&m);
+        let ens = spec.ensemble(&spec.settings(&outputs));
+        let pair = k == 2;
+        let tags = ens
+            .keys
+            .iter()
+            .map(|key| JobTag {
+                subset: subset.to_vec(),
+                segment: Some(i),
+                kind: JobKind::Ensemble {
+                    prep_low: key.preps[0],
+                    prep_high: pair.then_some(key.preps[1]),
+                    basis_low: key.bases[0],
+                    basis_high: pair.then_some(key.bases[1]),
+                },
+            })
+            .collect();
+        let outs = port.submit(ens.jobs, tags)?;
+        let (table, st) = tabulate(&ens.keys, &outs);
+        stats = add_stats(stats, st);
+        let (exps, _den) = combine_mitigated(&qspc_config, &rho, &outputs, &table);
+        rho = state_from_components(k, exps);
         for instr in &seg.check {
             prefix.push(instr.gate.clone(), instr.qubits.clone());
         }
         if !offdiag_exact {
             // True-marginal off-diagonals at the post-check cut, if any
             // downstream consumer needs them.
-            let need_off: Vec<Pauli> = downstream
+            let need_off: Vec<SubsetPauli> = downstream
                 .iter()
                 .copied()
-                .filter(|&p| p == Pauli::X || p == Pauli::Y)
+                .filter(|&p| !is_diagonal(p))
                 .collect();
             if !need_off.is_empty() {
-                let measured = measure_marginal_single(
-                    port, &prefix, qubit, &need_off, config, &mut stats, i,
-                )?;
-                rho = overwrite_bloch(&rho, &measured);
+                let measured =
+                    measure_marginal(port, &prefix, subset, &need_off, config, &mut stats, i)?;
+                rho = overwrite_components(&rho, k, &measured);
             }
         }
         offdiag_exact = false;
@@ -444,9 +463,9 @@ pub(crate) fn trace_single_with_port(
     if !diag_valid {
         // Trailing unchecked segments: fall back to the plain subset
         // measurement of the full circuit (Jigsaw-style local).
-        let job = BatchJob::new(Program::from_circuit(circuit), vec![qubit]);
+        let job = BatchJob::new(Program::from_circuit(circuit), subset.to_vec());
         let tag = JobTag {
-            subset: vec![qubit],
+            subset: subset.to_vec(),
             segment: None,
             kind: JobKind::Fallback,
         };
@@ -462,178 +481,16 @@ pub(crate) fn trace_single_with_port(
         });
     }
 
-    let p0 = rho[(0, 0)].re.clamp(0.0, 1.0);
-    Ok(TraceOutcome {
-        local: Distribution::try_from_probs(1, vec![p0, 1.0 - p0])
-            .expect("one-bit local distribution")
-            .normalized(),
-        rho,
-        stats,
-        checks_applied,
-    })
-}
-
-pub(crate) fn trace_pair_with_port(
-    port: &mut dyn TracePort,
-    circuit: &Circuit,
-    pair: [usize; 2],
-    config: &TraceConfig,
-) -> Result<TraceOutcome, TraceError> {
-    let segments = split_into_segments(circuit, &pair)?;
-    let n = circuit.n_qubits();
-    let checked = checked_set(&segments, &pair, config.checked_layers);
-    let needed_at = compute_needed_pair(&segments, pair, config.state_traceback);
-
-    let zero = qt_math::states::PrepState::Zero.projector();
-    let mut rho = zero.kron(&zero);
-    let mut prefix = Circuit::new(n);
-    let mut stats = QspcStats::default();
-    let mut checks_applied = 0usize;
-    let mut offdiag_exact = true;
-    let mut diag_valid = true;
-    let mut offdiag_valid = true;
-
-    let is_diag_pair = |pl: Pauli, ph: Pauli| {
-        (pl == Pauli::I || pl == Pauli::Z) && (ph == Pauli::I || ph == Pauli::Z)
+    // A single qubit clamps `p0` to [0, 1]; a pair clips its diagonal at 0.
+    let probs = if k == 1 {
+        let p0 = rho[(0, 0)].re.clamp(0.0, 1.0);
+        vec![p0, 1.0 - p0]
+    } else {
+        (0..4).map(|b| rho[(b, b)].re.max(0.0)).collect()
     };
-    let diag_outputs = [
-        (Pauli::Z, Pauli::I),
-        (Pauli::I, Pauli::Z),
-        (Pauli::Z, Pauli::Z),
-    ];
-
-    for (i, seg) in segments.iter().enumerate() {
-        rho = apply_local_block(&rho, &seg.local, &pair);
-        for instr in &seg.local {
-            prefix.push(instr.gate.clone(), instr.qubits.clone());
-        }
-        if !seg.check_touches(&pair) {
-            for instr in &seg.check {
-                prefix.push(instr.gate.clone(), instr.qubits.clone());
-            }
-            continue;
-        }
-        if !checked.contains(&i) {
-            for instr in &seg.check {
-                prefix.push(instr.gate.clone(), instr.qubits.clone());
-            }
-            offdiag_exact = false;
-            diag_valid = false;
-            offdiag_valid = false;
-            continue;
-        }
-
-        let downstream: Vec<(Pauli, Pauli)> = needed_at[i].to_vec();
-
-        // ---- refresh stale inputs from the true marginal ----
-        let inputs = expand_pair_inputs(&downstream);
-        let mut to_measure: Vec<(Pauli, Pauli)> = Vec::new();
-        for &(pl, ph) in &inputs {
-            let diag = is_diag_pair(pl, ph);
-            if (diag && !diag_valid) || (!diag && !offdiag_valid) {
-                to_measure.push((pl, ph));
-            }
-        }
-        if !to_measure.is_empty() {
-            let measured =
-                measure_marginal_pair(port, &prefix, pair, &to_measure, config, &mut stats, i)?;
-            rho = overwrite_pair_components(&rho, &measured);
-        }
-
-        // ---- mitigated update ----
-        let outputs: Vec<(Pauli, Pauli)> = if offdiag_exact {
-            downstream.clone()
-        } else {
-            diag_outputs.to_vec()
-        };
-        let mut segment = Circuit::new(n);
-        for instr in &seg.check {
-            segment.push(instr.gate.clone(), instr.qubits.clone());
-        }
-        checks_applied += 1;
-        let qspc_config = config.qspc();
-        let exps = {
-            let spec = QspcPairSpec {
-                qubits: pair,
-                prefix: &prefix,
-                segment: &segment,
-                config: qspc_config,
-            };
-            let (needed_low, needed_high) = spec.mitigated_settings(&outputs);
-            let ens = spec.ensemble(&needed_low, &needed_high);
-            let tags = ens
-                .keys
-                .iter()
-                .map(|&(sl, sh, bl, bh)| JobTag {
-                    subset: pair.to_vec(),
-                    segment: Some(i),
-                    kind: JobKind::Ensemble {
-                        prep_low: sl,
-                        prep_high: Some(sh),
-                        basis_low: bl,
-                        basis_high: Some(bh),
-                    },
-                })
-                .collect();
-            let outs = port.submit(ens.jobs, tags)?;
-            let (e, st) = tabulate_pair(&ens.keys, &outs);
-            stats = add_stats(stats, st);
-            let (exps, _den) =
-                combine_pair_mitigated(&qspc_config, &rho, &outputs, &needed_low, &needed_high, &e);
-            exps
-        };
-        let mut m = Matrix::identity(4).scale(Complex::real(0.25));
-        for (&(pl, ph), &v) in &exps {
-            let op = ph.matrix().kron(&pl.matrix());
-            m = m.add(&op.scale(Complex::real(v / 4.0)));
-        }
-        rho = project_to_physical(&m);
-        for instr in &seg.check {
-            prefix.push(instr.gate.clone(), instr.qubits.clone());
-        }
-        if !offdiag_exact {
-            let need_off: Vec<(Pauli, Pauli)> = downstream
-                .iter()
-                .copied()
-                .filter(|&(pl, ph)| !is_diag_pair(pl, ph))
-                .collect();
-            if !need_off.is_empty() {
-                let measured =
-                    measure_marginal_pair(port, &prefix, pair, &need_off, config, &mut stats, i)?;
-                rho = overwrite_pair_components(&rho, &measured);
-            }
-        }
-        offdiag_exact = false;
-        diag_valid = true;
-        offdiag_valid = true;
-    }
-
-    if !diag_valid {
-        let job = BatchJob::new(Program::from_circuit(circuit), vec![pair[0], pair[1]]);
-        let tag = JobTag {
-            subset: pair.to_vec(),
-            segment: None,
-            kind: JobKind::Fallback,
-        };
-        let out = port.submit(vec![job], vec![tag])?.remove(0);
-        stats.n_circuits += 1;
-        stats.total_gates += out.gates;
-        stats.total_two_qubit_gates += out.two_qubit_gates;
-        return Ok(TraceOutcome {
-            local: out.dist.normalized(),
-            rho,
-            stats,
-            checks_applied,
-        });
-    }
-
-    let mut probs = vec![0.0; 4];
-    for (b, p) in probs.iter_mut().enumerate() {
-        *p = rho[(b, b)].re.max(0.0);
-    }
     Ok(TraceOutcome {
-        local: Distribution::try_from_probs(2, probs)
-            .expect("two-bit local distribution")
+        local: Distribution::try_from_probs(k, probs)
+            .expect("a local distribution over the subset")
             .normalized(),
         rho,
         stats,
@@ -671,32 +528,8 @@ fn add_stats(mut a: QspcStats, b: QspcStats) -> QspcStats {
     a
 }
 
-/// Overwrites the Bloch components of a single-qubit state with measured
-/// values, clipping to the physical ball.
-fn overwrite_bloch(rho: &Matrix, measured: &BTreeMap<Pauli, f64>) -> Matrix {
-    let mut bloch = qt_math::states::bloch_vector(rho);
-    for (&b, &v) in measured {
-        match b {
-            Pauli::X => bloch[0] = v,
-            Pauli::Y => bloch[1] = v,
-            Pauli::Z => bloch[2] = v,
-            Pauli::I => {}
-        }
-    }
-    let norm = (bloch[0] * bloch[0] + bloch[1] * bloch[1] + bloch[2] * bloch[2]).sqrt();
-    if norm > 1.0 {
-        for c in &mut bloch {
-            *c /= norm;
-        }
-    }
-    qt_math::states::density_from_bloch(bloch)
-}
-
-/// Applies a subset-local block of instructions to the subset state.
-fn apply_local_block(rho: &Matrix, instrs: &[Instruction], subset: &[usize]) -> Matrix {
-    if instrs.is_empty() {
-        return rho.clone();
-    }
+/// The unitary of a subset-local block of instructions.
+fn local_unitary(instrs: &[Instruction], subset: &[usize]) -> Matrix {
     let k = subset.len();
     let mut u = Matrix::identity(1 << k);
     for instr in instrs {
@@ -707,197 +540,163 @@ fn apply_local_block(rho: &Matrix, instrs: &[Instruction], subset: &[usize]) -> 
             .collect();
         u = embed(&instr.gate.matrix(), &positions, k).mul(&u);
     }
+    u
+}
+
+/// Applies a subset-local block of instructions to the subset state.
+fn apply_local_block(rho: &Matrix, instrs: &[Instruction], subset: &[usize]) -> Matrix {
+    if instrs.is_empty() {
+        return rho.clone();
+    }
+    let u = local_unitary(instrs, subset);
     u.mul(rho).mul(&u.dagger())
 }
 
-/// Overwrites Pauli-pair coefficients of a two-qubit state with measured
-/// values and re-projects to a physical state.
-fn overwrite_pair_components(rho: &Matrix, measured: &BTreeMap<(Pauli, Pauli), f64>) -> Matrix {
-    let mut m = Matrix::identity(4).scale(Complex::real(0.25));
-    for pl in Pauli::ALL {
-        for ph in Pauli::ALL {
-            if pl == Pauli::I && ph == Pauli::I {
-                continue;
-            }
-            let op = ph.matrix().kron(&pl.matrix());
-            let v = match measured.get(&(pl, ph)) {
-                Some(&v) => v,
-                None => op.trace_product(rho).re,
-            };
-            m = m.add(&op.scale(Complex::real(v / 4.0)));
-        }
+/// The diagonal non-identity Paulis on `k` qubits — `Z` on every non-empty
+/// set of slots, slot 0 alone first.
+fn diagonal_paulis(k: usize) -> Vec<SubsetPauli> {
+    (1..1usize << k)
+        .map(|mask| {
+            [0, 1].map(|slot| {
+                if mask >> slot & 1 == 1 {
+                    Pauli::Z
+                } else {
+                    Pauli::I
+                }
+            })
+        })
+        .collect()
+}
+
+/// Whether `p` is diagonal in the computational basis (only `I` and `Z`).
+fn is_diagonal(p: SubsetPauli) -> bool {
+    p.iter().all(|&s| s == Pauli::I || s == Pauli::Z)
+}
+
+/// The physical state `(I + Σ v_P·P) / 2^k` of the given Pauli components
+/// (absent ones read 0), repaired by `project_to_physical`.
+fn state_from_components(
+    k: usize,
+    components: impl IntoIterator<Item = (SubsetPauli, f64)>,
+) -> Matrix {
+    let dim = (1usize << k) as f64;
+    let mut m = Matrix::identity(1 << k).scale(Complex::real(1.0 / dim));
+    for (p, v) in components {
+        m = m.add(&pauli_operator(k, p).scale(Complex::real(v / dim)));
     }
     project_to_physical(&m)
 }
 
-/// Measures the unmitigated true marginal of one qubit at the current cut
-/// (run the prefix, rotate, read) in each requested basis.
-#[allow(clippy::too_many_arguments)]
-fn measure_marginal_single(
-    port: &mut dyn TracePort,
-    prefix: &Circuit,
-    qubit: usize,
-    bases: &[Pauli],
-    config: &TraceConfig,
-    stats: &mut QspcStats,
-    segment: usize,
-) -> Result<BTreeMap<Pauli, f64>, ExecError> {
-    // One reduced circuit per basis, executed as a single parallel batch.
-    let jobs: Vec<BatchJob> = bases
-        .iter()
-        .map(|&b| {
-            let mut c = Circuit::new(prefix.n_qubits());
-            c.append(prefix);
-            for i in basis::measure_rotation(b, qubit) {
-                c.push_instruction(i);
-            }
-            let reduced = if config.optimize_circuits {
-                passes::reduce_for_z_measurement(&c, &[qubit]).circuit
-            } else {
-                c
+/// Overwrites Pauli components of the subset state with measured values
+/// and repairs the result: a single qubit clips its Bloch vector to the
+/// unit ball, then both sizes project to a physical state.
+fn overwrite_components(rho: &Matrix, k: usize, measured: &BTreeMap<SubsetPauli, f64>) -> Matrix {
+    let mut components: Vec<(SubsetPauli, f64)> = subset_paulis(k)
+        .into_iter()
+        .map(|p| {
+            let v = match measured.get(&p) {
+                Some(&v) => v,
+                None => pauli_operator(k, p).trace_product(rho).re,
             };
-            BatchJob::new(Program::from_circuit(&reduced), vec![qubit])
+            (p, v)
         })
         .collect();
-    let tags: Vec<JobTag> = bases
-        .iter()
-        .map(|&b| JobTag {
-            subset: vec![qubit],
-            segment: Some(segment),
-            kind: JobKind::CutMarginal {
-                basis_low: b,
-                basis_high: None,
-            },
-        })
-        .collect();
-    let mut out = BTreeMap::new();
-    for (&b, run) in bases.iter().zip(port.submit(jobs, tags)?) {
-        stats.n_circuits += 1;
-        stats.total_gates += run.gates;
-        stats.total_two_qubit_gates += run.two_qubit_gates;
-        stats.max_two_qubit_gates = stats.max_two_qubit_gates.max(run.two_qubit_gates);
-        out.insert(b, run.dist.prob(0) - run.dist.prob(1));
-    }
-    Ok(out)
-}
-
-/// Measures the unmitigated true marginal of a pair at the current cut for
-/// each requested Pauli pair (batched by basis setting).
-#[allow(clippy::too_many_arguments)]
-fn measure_marginal_pair(
-    port: &mut dyn TracePort,
-    prefix: &Circuit,
-    pair: [usize; 2],
-    components: &[(Pauli, Pauli)],
-    config: &TraceConfig,
-    stats: &mut QspcStats,
-    segment: usize,
-) -> Result<BTreeMap<(Pauli, Pauli), f64>, ExecError> {
-    // Group the requested components by the basis setting that measures
-    // them; `I` slots ride along with whatever basis is chosen.
-    let mut settings: Vec<(Pauli, Pauli)> = Vec::new();
-    for &(pl, ph) in components {
-        let bl = if pl == Pauli::I { Pauli::Z } else { pl };
-        let bh = if ph == Pauli::I { Pauli::Z } else { ph };
-        if !settings.contains(&(bl, bh)) {
-            settings.push((bl, bh));
+    if k == 1 {
+        let norm = components.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+        if norm > 1.0 {
+            for (_, v) in &mut components {
+                *v /= norm;
+            }
         }
     }
-    // One reduced circuit per basis setting, executed as a parallel batch.
+    state_from_components(k, components)
+}
+
+/// Measures the unmitigated true marginal of the subset at the current cut
+/// (run the prefix, rotate, read) for each requested Pauli component, one
+/// job per basis setting; `I` slots ride along with a `Z` basis.
+#[allow(clippy::too_many_arguments)]
+fn measure_marginal(
+    port: &mut dyn TracePort,
+    prefix: &Circuit,
+    subset: &[usize],
+    components: &[SubsetPauli],
+    config: &TraceConfig,
+    stats: &mut QspcStats,
+    segment: usize,
+) -> Result<BTreeMap<SubsetPauli, f64>, ExecError> {
+    let k = subset.len();
+    let mut settings: Vec<SubsetPauli> = Vec::new();
+    for &p in components {
+        let mut bases = p;
+        for b in &mut bases[..k] {
+            if *b == Pauli::I {
+                *b = Pauli::Z;
+            }
+        }
+        if !settings.contains(&bases) {
+            settings.push(bases);
+        }
+    }
+    // One reduced circuit per basis setting, executed as a single batch.
     let jobs: Vec<BatchJob> = settings
         .iter()
-        .map(|&(bl, bh)| {
+        .map(|bases| {
             let mut c = Circuit::new(prefix.n_qubits());
             c.append(prefix);
-            for i in basis::measure_rotation(bl, pair[0]) {
-                c.push_instruction(i);
-            }
-            for i in basis::measure_rotation(bh, pair[1]) {
-                c.push_instruction(i);
+            for (&q, &b) in subset.iter().zip(bases) {
+                for i in basis::measure_rotation(b, q) {
+                    c.push_instruction(i);
+                }
             }
             let reduced = if config.optimize_circuits {
-                passes::reduce_for_z_measurement(&c, &[pair[0], pair[1]]).circuit
+                passes::reduce_for_z_measurement(&c, subset).circuit
             } else {
                 c
             };
-            BatchJob::new(Program::from_circuit(&reduced), vec![pair[0], pair[1]])
+            BatchJob::new(Program::from_circuit(&reduced), subset.to_vec())
         })
         .collect();
     let tags: Vec<JobTag> = settings
         .iter()
-        .map(|&(bl, bh)| JobTag {
-            subset: pair.to_vec(),
+        .map(|bases| JobTag {
+            subset: subset.to_vec(),
             segment: Some(segment),
             kind: JobKind::CutMarginal {
-                basis_low: bl,
-                basis_high: Some(bh),
+                basis_low: bases[0],
+                basis_high: (k == 2).then_some(bases[1]),
             },
         })
         .collect();
-    let mut out = BTreeMap::new();
-    for (&(bl, bh), run) in settings.iter().zip(port.submit(jobs, tags)?) {
-        stats.n_circuits += 1;
-        stats.total_gates += run.gates;
-        stats.total_two_qubit_gates += run.two_qubit_gates;
-        stats.max_two_qubit_gates = stats.max_two_qubit_gates.max(run.two_qubit_gates);
-        let dist = run.dist;
-        let exp = |mask: u64| -> f64 {
-            dist.iter()
-                .map(|(i, p)| {
-                    if (i & mask).count_ones().is_multiple_of(2) {
-                        p
-                    } else {
-                        -p
-                    }
-                })
-                .sum()
-        };
-        out.insert((bl, Pauli::I), exp(0b01));
-        out.insert((Pauli::I, bh), exp(0b10));
-        out.insert((bl, bh), exp(0b11));
+    let mut read = BTreeMap::new();
+    for (&bases, run) in settings.iter().zip(port.submit(jobs, tags)?) {
+        stats.absorb(&run);
+        read.extend(parity_expectations(bases, &run));
     }
     // Return only the requested components.
-    let mut filtered = BTreeMap::new();
-    for &(pl, ph) in components {
-        if pl == Pauli::I && ph == Pauli::I {
-            continue;
-        }
-        // Find a compatible recorded value.
-        let key = if pl == Pauli::I {
-            (Pauli::I, ph)
-        } else if ph == Pauli::I {
-            (pl, Pauli::I)
-        } else {
-            (pl, ph)
-        };
-        if let Some(&v) = out.get(&key) {
-            filtered.insert((pl, ph), v);
-        }
-    }
-    Ok(filtered)
+    Ok(components
+        .iter()
+        .filter_map(|p| read.get(p).map(|&v| (*p, v)))
+        .collect())
 }
 
-/// The input components a pair check consumes for the given outputs
-/// (per-slot expansion: `Z → {Z, I}`, `X/Y → {X, Y}`, plus the diagonal
-/// components the denominator needs).
-fn expand_pair_inputs(outputs: &[(Pauli, Pauli)]) -> Vec<(Pauli, Pauli)> {
-    let expand = |p: Pauli| -> Vec<Pauli> {
+/// The input components a check consumes for the given outputs (per-slot
+/// expansion: `Z → {Z, I}`, `X/Y → {X, Y}`, plus the diagonal components
+/// the denominator needs), in ascending order.
+fn expand_inputs(k: usize, outputs: &[SubsetPauli]) -> Vec<SubsetPauli> {
+    let expand = |p: Pauli| -> &'static [Pauli] {
         match p {
-            Pauli::I => vec![Pauli::I],
-            Pauli::Z => vec![Pauli::Z, Pauli::I],
-            Pauli::X | Pauli::Y => vec![Pauli::X, Pauli::Y],
+            Pauli::I => &[Pauli::I],
+            Pauli::Z => &[Pauli::Z, Pauli::I],
+            Pauli::X | Pauli::Y => &[Pauli::X, Pauli::Y],
         }
     };
-    let mut set: BTreeSet<(Pauli, Pauli)> = BTreeSet::from([
-        (Pauli::Z, Pauli::I),
-        (Pauli::I, Pauli::Z),
-        (Pauli::Z, Pauli::Z),
-    ]);
-    for &(pl, ph) in outputs {
-        for el in expand(pl) {
-            for eh in expand(ph) {
-                if !(el == Pauli::I && eh == Pauli::I) {
-                    set.insert((el, eh));
+    let mut set: BTreeSet<SubsetPauli> = diagonal_paulis(k).into_iter().collect();
+    for &[p0, p1] in outputs {
+        for &e0 in expand(p0) {
+            for &e1 in expand(p1) {
+                if [e0, e1] != [Pauli::I; 2] {
+                    set.insert([e0, e1]);
                 }
             }
         }
@@ -905,124 +704,44 @@ fn expand_pair_inputs(outputs: &[(Pauli, Pauli)]) -> Vec<(Pauli, Pauli)> {
     set.into_iter().collect()
 }
 
-/// Backward traceback for subset size 1: the set of output Paulis needed
-/// per segment. Needed outputs at a check are those the final Z measurement
-/// can depend on, pulled through the downstream local blocks.
-fn compute_needed_single(segments: &[Segment], qubit: usize, traceback: bool) -> Vec<Vec<Pauli>> {
-    let all = vec![Pauli::X, Pauli::Y, Pauli::Z];
-    if !traceback {
-        return vec![all; segments.len()];
-    }
-    let mut needed: BTreeSet<Pauli> = BTreeSet::from([Pauli::Z]);
-    let mut out = vec![Vec::new(); segments.len()];
-    for (i, seg) in segments.iter().enumerate().rev() {
-        out[i] = needed.iter().copied().collect();
-        if seg.check_touches(&[qubit]) {
-            // Inputs the estimator consumes: Z→{Z}, X/Y→{X,Y} (+Z for den).
-            let mut inputs = BTreeSet::from([Pauli::Z]);
-            for &p in &needed {
-                match p {
-                    Pauli::Z | Pauli::I => {
-                        inputs.insert(Pauli::Z);
-                    }
-                    Pauli::X | Pauli::Y => {
-                        inputs.insert(Pauli::X);
-                        inputs.insert(Pauli::Y);
-                    }
-                }
-            }
-            needed = inputs;
-        }
-        // Pull back through the local block: ρ_after = L ρ L†, so
-        // tr[ρ_after P] = tr[ρ_before L†PL].
-        if !seg.local.is_empty() {
-            let mut u = Matrix::identity(2);
-            for instr in &seg.local {
-                u = instr.gate.matrix().mul(&u);
-            }
-            let mut pulled = BTreeSet::new();
-            for &p in &needed {
-                let v = u.dagger().mul(&p.matrix()).mul(&u);
-                for q in [Pauli::X, Pauli::Y, Pauli::Z] {
-                    if q.matrix().trace_product(&v).norm() > 1e-12 {
-                        pulled.insert(q);
-                    }
-                }
-            }
-            needed = pulled;
-            if needed.is_empty() {
-                needed.insert(Pauli::Z);
-            }
-        }
-    }
-    out
-}
-
-/// Backward traceback for pairs: analogous, component-wise per qubit.
-fn compute_needed_pair(
+/// Backward traceback: the output components needed per segment — those
+/// the final Z measurement can depend on, pulled back through the
+/// downstream local blocks (every component when traceback is off).
+fn compute_needed(
     segments: &[Segment],
-    pair: [usize; 2],
+    subset: &[usize],
     traceback: bool,
-) -> Vec<Vec<(Pauli, Pauli)>> {
-    let all: Vec<(Pauli, Pauli)> = {
-        let mut v = Vec::new();
-        for pl in Pauli::ALL {
-            for ph in Pauli::ALL {
-                if pl == Pauli::I && ph == Pauli::I {
-                    continue;
-                }
-                v.push((pl, ph));
-            }
-        }
-        v
-    };
+) -> Vec<Vec<SubsetPauli>> {
+    let k = subset.len();
     if !traceback {
-        return vec![all; segments.len()];
+        return vec![subset_paulis(k); segments.len()];
     }
-    let diag: BTreeSet<(Pauli, Pauli)> = BTreeSet::from([
-        (Pauli::Z, Pauli::I),
-        (Pauli::I, Pauli::Z),
-        (Pauli::Z, Pauli::Z),
-    ]);
+    let diag: BTreeSet<SubsetPauli> = diagonal_paulis(k).into_iter().collect();
     let mut needed = diag.clone();
     let mut out = vec![Vec::new(); segments.len()];
     for (i, seg) in segments.iter().enumerate().rev() {
         out[i] = needed.iter().copied().collect();
-        if seg.check_touches(&pair) {
-            needed = expand_pair_inputs(&needed.iter().copied().collect::<Vec<_>>())
-                .into_iter()
-                .collect();
+        if seg.check_touches(subset) {
+            needed = expand_inputs(k, &out[i]).into_iter().collect();
         }
+        // Pull back through the local block: ρ_after = L ρ L†, so
+        // tr[ρ_after P] = tr[ρ_before L†PL].
         if !seg.local.is_empty() {
-            let mut u = Matrix::identity(4);
-            for instr in &seg.local {
-                let positions: Vec<usize> = instr
-                    .qubits
-                    .iter()
-                    .map(|q| pair.iter().position(|x| x == q).expect("local gate"))
-                    .collect();
-                u = embed(&instr.gate.matrix(), &positions, 2).mul(&u);
-            }
+            let u = local_unitary(&seg.local, subset);
             let mut pulled = BTreeSet::new();
-            for &(pl, ph) in &needed {
-                let p = ph.matrix().kron(&pl.matrix());
-                let v = u.dagger().mul(&p).mul(&u);
-                for ql in Pauli::ALL {
-                    for qh in Pauli::ALL {
-                        if ql == Pauli::I && qh == Pauli::I {
-                            continue;
-                        }
-                        let op = qh.matrix().kron(&ql.matrix());
-                        if op.trace_product(&v).norm() > 1e-12 {
-                            pulled.insert((ql, qh));
-                        }
-                    }
-                }
+            for &p in &needed {
+                let v = u.dagger().mul(&pauli_operator(k, p)).mul(&u);
+                pulled.extend(
+                    subset_paulis(k)
+                        .into_iter()
+                        .filter(|&q| pauli_operator(k, q).trace_product(&v).norm() > 1e-12),
+                );
             }
-            needed = pulled;
-            if needed.is_empty() {
-                needed = diag.clone();
-            }
+            needed = if pulled.is_empty() {
+                diag.clone()
+            } else {
+                pulled
+            };
         }
     }
     out

@@ -404,6 +404,29 @@ fn plan_rejects_bad_subset_size_with_typed_error() {
     }
 }
 
+/// Pairs prepare only from the reduced basis, so a pair config asking for
+/// the six-state one is refused with a typed error instead of silently
+/// running the reduced ensemble; single qubits keep both bases.
+#[test]
+fn plan_rejects_six_state_preps_for_pairs() {
+    let circ = vqe_ansatz(4, 1, 1);
+    let measured = [0, 1, 2, 3];
+    for cfg in [
+        QuTracerConfig::pairs(),
+        QuTracerConfig::pairs().with_symmetric_subsets(),
+    ] {
+        let mut six_state = cfg;
+        six_state.trace.use_reduced_preps = false;
+        let err = QuTracer::plan(&circ, &measured, &six_state).unwrap_err();
+        assert_eq!(err, PlanError::FullPrepsForPairs);
+        assert!(err.to_string().contains("reduced"), "{err}");
+        assert!(QuTracer::plan(&circ, &measured, &cfg).is_ok());
+    }
+    let mut single = QuTracerConfig::single();
+    single.trace.use_reduced_preps = false;
+    assert!(QuTracer::plan(&circ, &measured, &single).is_ok());
+}
+
 #[test]
 fn skipped_subsets_keep_their_typed_reason() {
     // A CX *target* inside the subset has no Z check: qubit 1 must be

@@ -4,9 +4,11 @@
 //!   (`C_R U C_L = U`);
 //! * [`pcs`] — the literal ancilla-based protocol (ideal and noisy
 //!   variants, used as baselines);
-//! * [`qspc`] — the paper's virtualized checks: ensemble state preparation
-//!   and measurement with classical recombination, mitigating both gate and
-//!   measurement errors on the traced subset.
+//! * [`qspc`] — the paper's virtualized checks: one check over the group
+//!   `{I, Z}^⊗k` of a traced subset of one or two qubits, built from
+//!   ensemble state preparation and measurement with classical
+//!   recombination, mitigating both gate and measurement errors on the
+//!   subset.
 //!
 //! # Example
 //!
@@ -27,7 +29,7 @@ pub use pcs::{
     postselected_distribution, postselected_distribution_sampled, z_check_sandwich, PcsProgram,
 };
 pub use qspc::{
-    bloch_state_from_expectations, combine_pair_mitigated, combine_single_mitigated,
-    project_to_physical, tabulate_pair, tabulate_single, PairEnsemble, PairEnsembleKey, QspcConfig,
-    QspcPairSpec, QspcSingleSpec, QspcStats, SingleEnsemble,
+    bloch_state_from_expectations, combine_mitigated, parity_expectations, pauli_operator,
+    project_to_physical, subset_paulis, tabulate, Ensemble, EnsembleKey, QspcConfig, QspcSpec,
+    QspcStats, SubsetPauli,
 };

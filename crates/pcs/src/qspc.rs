@@ -8,25 +8,31 @@
 //! num(O) = Σ_{x,y ∈ G} tr[ N(x ρ_in y) · (y O x) ],   den = num(I)
 //! ```
 //!
-//! where `G` is the group generated by the Z checks on the traced subset
-//! (`{I, Z_j}` for one qubit, `{I, Z_a, Z_b, Z_a Z_b}` for a pair), `ρ_in`
-//! is the classically tracked subset state at the cut, and
-//! `N(σ) = ε_gm(U σ U†)` is the *noisy* segment — including the terminal
-//! measurement, so readout errors sit inside the sandwich and are mitigated
-//! (Sec. IV-D).
+//! where `G = {I, Z}^⊗k` is the group of Z checks on a traced subset of
+//! `k ∈ {1, 2}` qubits (`{I, Z_j}` for one qubit, `{I, Z_a, Z_b, Z_a Z_b}`
+//! for a pair), `ρ_in` is the classically tracked subset state at the cut,
+//! and `N(σ) = ε_gm(U σ U†)` is the *noisy* segment — including the
+//! terminal measurement, so readout errors sit inside the sandwich and are
+//! mitigated (Sec. IV-D). One check, [`QspcSpec`], serves both subset sizes.
 //!
 //! The non-physical inputs `x ρ_in y` are realized by preparation ensembles
-//! over the reduced projector basis `{|0⟩⟨0|, |1⟩⟨1|, |+⟩⟨+|, |i⟩⟨i|}`
-//! (*state preparation reduction*, Eq. 9), executed as programs of the form
+//! over products of the reduced projector basis
+//! `{|0⟩⟨0|, |1⟩⟨1|, |+⟩⟨+|, |i⟩⟨i|}` (*state preparation reduction*, Eq. 9),
+//! executed as programs of the form
 //!
 //! ```text
-//! [reduced noisy prefix] ; Reset(subset → prep) ; [reduced segment] ;
-//! [basis rotation] ; measure
+//! [reduced noisy prefix] ; Reset(subset → preps) ; [reduced segment] ;
+//! [basis rotations] ; measure
 //! ```
 //!
 //! with the paper's *false dependency removal* and *localized gate
-//! simulation* applied by [`qt_circuit::passes`]. For the four terms
-//! `x, y ∈ {I, Z_j}` this reproduces Eqs. (5)–(8) exactly.
+//! simulation* applied by [`qt_circuit::passes`]. For one qubit and the
+//! four terms `x, y ∈ {I, Z_j}` this reproduces Eqs. (5)–(8) exactly.
+//!
+//! Two orders depend on the subset size and are part of the results' bits:
+//! the sums over `(x, y)` run `y`-outer for one qubit and `x`-outer for a
+//! pair, and a pair's jobs iterate preparations low slot outer while its
+//! decomposition sums run high slot outer.
 
 use qt_circuit::{basis, passes, Circuit};
 use qt_math::states::{
@@ -44,7 +50,8 @@ pub struct QspcConfig {
     pub optimize_circuits: bool,
     /// Use the 4-state reduced preparation basis (the paper's *state
     /// preparation reduction*). `false` selects the full 6-eigenstate
-    /// expansion, as in the SQEM baseline's reconstruction.
+    /// expansion, as in the SQEM baseline's reconstruction. It applies to
+    /// single qubits only: a pair always prepares from the reduced basis.
     pub use_reduced_preps: bool,
     /// If the post-selection denominator falls below this value the result
     /// is considered unreliable and the unmitigated expectation is returned.
@@ -72,20 +79,40 @@ impl QspcConfig {
         }
     }
 
-    fn preps(&self) -> &'static [PrepState] {
-        if self.use_reduced_preps {
-            &PrepState::REDUCED
+    /// The preparations of a `k`-qubit ensemble, in job order (a pair's
+    /// low slot outer).
+    fn job_preps(&self, k: usize) -> Vec<[PrepState; 2]> {
+        if k == 1 {
+            let preps: &[PrepState] = if self.use_reduced_preps {
+                &PrepState::REDUCED
+            } else {
+                &PrepState::ALL
+            };
+            preps.iter().map(|&s| [s, PrepState::Zero]).collect()
         } else {
-            &PrepState::ALL
+            let r = PrepState::REDUCED;
+            r.iter()
+                .flat_map(|&low| r.map(|high| [low, high]))
+                .collect()
         }
     }
 
-    fn decompose(&self, sigma: &Matrix) -> Vec<Complex> {
-        if self.use_reduced_preps {
+    /// `σ`'s coefficients over the product preparations, paired with them
+    /// in summation order (a pair's high slot outer).
+    fn decompose(&self, k: usize, sigma: &Matrix) -> Vec<([PrepState; 2], Complex)> {
+        if k == 2 {
+            let r = PrepState::REDUCED;
+            let d = decompose_two_qubit_operator(sigma);
+            return (0..16)
+                .map(|i| ([r[i % 4], r[i / 4]], d[i / 4][i % 4]))
+                .collect();
+        }
+        let coeffs = if self.use_reduced_preps {
             decompose_qubit_operator(sigma).to_vec()
         } else {
             decompose_qubit_operator_full(sigma).to_vec()
-        }
+        };
+        self.job_preps(1).into_iter().zip(coeffs).collect()
     }
 }
 
@@ -103,7 +130,8 @@ pub struct QspcStats {
 }
 
 impl QspcStats {
-    fn absorb(&mut self, out: &RunOutput) {
+    /// Counts one executed circuit.
+    pub fn absorb(&mut self, out: &RunOutput) {
         self.n_circuits += 1;
         self.total_gates += out.gates;
         let tq = out.two_qubit_gates;
@@ -112,216 +140,359 @@ impl QspcStats {
     }
 }
 
-/// A single-qubit subsetting Pauli check over one segment, in *plan form*:
-/// pure circuit generation and classical combination, with no runner
-/// attached.
+/// A Pauli operator on a traced subset: slot `i` acts on `qubits[i]`, and a
+/// single qubit leaves slot 1 at `I`.
+pub type SubsetPauli = [Pauli; 2];
+
+/// Every Pauli on `k` qubits, identity first, slot 0 outer — ascending
+/// [`SubsetPauli`] order.
+fn all_paulis(k: usize) -> Vec<SubsetPauli> {
+    let high: &[Pauli] = if k == 2 { &Pauli::ALL } else { &[Pauli::I] };
+    Pauli::ALL
+        .iter()
+        .flat_map(|&p0| high.iter().map(move |&p1| [p0, p1]))
+        .collect()
+}
+
+/// Every non-identity Pauli on `k` qubits, in ascending order.
+pub fn subset_paulis(k: usize) -> Vec<SubsetPauli> {
+    all_paulis(k).split_off(1)
+}
+
+/// The `2^k × 2^k` matrix of `p` (slot 0 is index bit 0).
+pub fn pauli_operator(k: usize, p: SubsetPauli) -> Matrix {
+    if k == 1 {
+        p[0].matrix()
+    } else {
+        p[1].matrix().kron(&p[0].matrix())
+    }
+}
+
+/// The check group `{I, Z}^⊗k` as operators, indexed by the mask of slots
+/// carrying `Z` (`Z_high·Z_low` for both slots of a pair).
+fn group(k: usize) -> Vec<Matrix> {
+    let mut g = vec![Matrix::identity(1 << k)];
+    for slot in 0..k {
+        let mut p = [Pauli::I; 2];
+        p[slot] = Pauli::Z;
+        let z = pauli_operator(k, p);
+        for m in 0..g.len() {
+            let element = if m == 0 { z.clone() } else { z.mul(&g[m]) };
+            g.push(element);
+        }
+    }
+    g
+}
+
+/// The `(x, y)` group index pairs in summation order: `y` outer for one
+/// qubit, `x` outer for a pair.
+fn group_pairs(k: usize) -> Vec<(usize, usize)> {
+    let n = 1usize << k;
+    (0..n * n)
+        .map(|t| {
+            if k == 1 {
+                (t % n, t / n)
+            } else {
+                (t / n, t % n)
+            }
+        })
+        .collect()
+}
+
+/// `V_{xy}(O) = y·O·x` over the group pairs for the denominator's identity
+/// and then every output, in that order.
+fn sandwich_terms(k: usize, outputs: &[SubsetPauli]) -> Vec<Vec<Matrix>> {
+    let g = group(k);
+    let pairs = group_pairs(k);
+    std::iter::once(Matrix::identity(1 << k))
+        .chain(outputs.iter().map(|&o| pauli_operator(k, o)))
+        .map(|o| {
+            pairs
+                .iter()
+                .map(|&(x, y)| g[y].mul(&o).mul(&g[x]))
+                .collect()
+        })
+        .collect()
+}
+
+/// Decomposes an operator that is proportional to a single Pauli: returns
+/// `(c, P)` with `V = c·P`. Exact for products of Paulis.
 ///
-/// A check runs in three steps: [`QspcSingleSpec::ensemble`] builds the
+/// # Panics
+///
+/// Panics (debug) if `V` has more than one Pauli component.
+fn pauli_component(k: usize, v: &Matrix) -> (Complex, SubsetPauli) {
+    let mut found = (Complex::ZERO, [Pauli::I; 2]);
+    let mut count = 0;
+    for p in all_paulis(k) {
+        let c = pauli_operator(k, p).trace_product(v) / (1usize << k) as f64;
+        if c.norm() > 1e-12 {
+            found = (c, p);
+            count += 1;
+        }
+    }
+    debug_assert!(count <= 1, "operator is not a single Pauli component");
+    found
+}
+
+/// The parity expectations one measured setting yields: for every
+/// non-empty set of its measured (non-`I`) slots, slot 0 alone first, the
+/// Pauli that set reads and its expectation over `out`'s distribution.
+pub fn parity_expectations(
+    bases: SubsetPauli,
+    out: &RunOutput,
+) -> impl Iterator<Item = (SubsetPauli, f64)> + '_ {
+    (1u64..4)
+        .filter(move |&mask| (0..2).all(|slot| mask >> slot & 1 == 0 || bases[slot] != Pauli::I))
+        .map(move |mask| {
+            let p = [0, 1].map(|slot| {
+                if mask >> slot & 1 == 1 {
+                    bases[slot]
+                } else {
+                    Pauli::I
+                }
+            });
+            let e = out
+                .dist
+                .iter()
+                .map(|(i, q)| {
+                    if (i & mask).count_ones().is_multiple_of(2) {
+                        q
+                    } else {
+                        -q
+                    }
+                })
+                .sum();
+            (p, e)
+        })
+}
+
+/// A subsetting Pauli check over one segment of a traced subset of one or
+/// two qubits, in *plan form*: pure circuit generation and classical
+/// combination, with no runner attached.
+///
+/// A check runs in three steps: [`QspcSpec::ensemble`] builds the
 /// preparation-ensemble jobs, a runner executes them (the staged pipeline,
 /// `qt_core::QuTracer::plan`, batches the jobs of every subset into one
-/// deduplicated batch), and [`tabulate_single`] then
-/// [`combine_single_mitigated`] turn the outputs into mitigated
-/// expectations. Finite-shot counts feed the same tabulation through
-/// `SampledOutput::to_run_output`.
+/// deduplicated batch), and [`tabulate`] then [`combine_mitigated`] turn
+/// the outputs into mitigated expectations. Finite-shot counts feed the
+/// same tabulation through `SampledOutput::to_run_output`.
 #[derive(Debug, Clone, Copy)]
-pub struct QspcSingleSpec<'a> {
-    /// The traced qubit.
-    pub qubit: usize,
-    /// Noisy prefix: everything before the cut (the traced wire is
+pub struct QspcSpec<'a> {
+    /// The traced qubits, one or two; `qubits[0]` is bit 0 of local
+    /// indices.
+    pub qubits: &'a [usize],
+    /// Noisy prefix: everything before the cut (the traced wires are
     /// discarded at the cut).
     pub prefix: &'a Circuit,
-    /// The protected segment (must commute with `Z` on the traced qubit).
+    /// The protected segment (must commute with Z on every traced qubit).
     pub segment: &'a Circuit,
     /// Options.
     pub config: QspcConfig,
 }
 
-/// The executable preparation ensemble of one single-qubit check: one job
-/// per `(preparation, measurement basis)` pair, keys aligned with jobs.
+/// One member of a preparation ensemble: the product state prepared on
+/// the subset and the basis measured on each slot (a single qubit's
+/// slot 1 holds `|0⟩` and `I`). A tabulated expectation is keyed the same
+/// way, with `I` on the slots its parity leaves out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EnsembleKey {
+    /// Preparation per slot.
+    pub preps: [PrepState; 2],
+    /// Measurement basis per slot.
+    pub bases: SubsetPauli,
+}
+
+/// The executable preparation ensemble of one check: one job per
+/// `(basis setting, preparation)` pair, keys aligned with jobs.
 #[derive(Debug, Clone)]
-pub struct SingleEnsemble {
-    /// `(prep, basis)` of each job, in job order.
-    pub keys: Vec<(PrepState, Pauli)>,
-    /// The executable programs (measuring the traced qubit).
+pub struct Ensemble {
+    /// Each job's key, in job order.
+    pub keys: Vec<EnsembleKey>,
+    /// The executable programs (measuring the traced subset).
     pub jobs: Vec<BatchJob>,
 }
 
-impl<'a> QspcSingleSpec<'a> {
-    /// `V_t(O) = y·O·x` for `(x, y) ∈ {I,Z}²`, with the denominator's
-    /// identity observable first.
-    fn sandwich_terms(outputs: &[Pauli]) -> Vec<(Option<Pauli>, [Matrix; 4])> {
-        let z = qt_math::pauli::z2();
-        let v_of = |o: &Matrix| -> [Matrix; 4] {
-            [
-                o.clone(),
-                o.mul(&z),        // x = Z, y = I  → y·O·x = O·Z
-                z.mul(o),         // x = I, y = Z  → Z·O
-                z.mul(o).mul(&z), // x = Z, y = Z
-            ]
-        };
-        let mut all_vs: Vec<(Option<Pauli>, [Matrix; 4])> =
-            vec![(None, v_of(&Matrix::identity(2)))];
-        for &o in outputs {
-            all_vs.push((Some(o), v_of(&o.matrix())));
-        }
-        all_vs
-    }
-
-    /// The measurement bases a *mitigated* evaluation of `outputs` needs:
-    /// every non-identity Pauli appearing in some sandwiched observable.
+impl QspcSpec<'_> {
+    /// The bases each slot needs for a *mitigated* evaluation of
+    /// `outputs`: every non-identity Pauli some sandwiched observable puts
+    /// on that slot, `Z` when there is none (`I` on a single qubit's
+    /// slot 1).
     ///
     /// # Panics
     ///
-    /// Panics if the segment is not Z-checkable on the traced qubit.
-    pub fn mitigated_bases(&self, outputs: &[Pauli]) -> Vec<Pauli> {
+    /// Panics if the segment is not Z-checkable on the traced subset.
+    pub fn settings(&self, outputs: &[SubsetPauli]) -> [Vec<Pauli>; 2] {
         assert!(
-            crate::checks::z_checkable(self.segment, &[self.qubit]),
-            "segment does not commute with Z on the traced qubit"
+            crate::checks::z_checkable(self.segment, self.qubits),
+            "segment does not commute with Z on the traced subset"
         );
-        let mut bases: Vec<Pauli> = Vec::new();
-        for (_, vs) in &Self::sandwich_terms(outputs) {
-            for v in vs {
-                let (_, p) = pauli_component_2x2(v);
-                if p != Pauli::I && !bases.contains(&p) {
-                    bases.push(p);
+        let k = self.qubits.len();
+        let mut settings: [Vec<Pauli>; 2] = Default::default();
+        for vs in sandwich_terms(k, outputs) {
+            for v in &vs {
+                let (_, p) = pauli_component(k, v);
+                for (bases, b) in settings.iter_mut().zip(p) {
+                    if b != Pauli::I && !bases.contains(&b) {
+                        bases.push(b);
+                    }
                 }
             }
         }
-        if bases.is_empty() {
-            bases.push(Pauli::Z);
-        }
-        bases
-    }
-
-    /// Builds the `preps × bases` preparation-ensemble jobs (Eq. 9 programs:
-    /// reduced prefix; reset; reduced segment + rotation; measure).
-    pub fn ensemble(&self, bases: &[Pauli]) -> SingleEnsemble {
-        let preps = self.config.preps();
-        let mut keys: Vec<(PrepState, Pauli)> = Vec::new();
-        let mut jobs: Vec<BatchJob> = Vec::new();
-        for &b in bases {
-            let (program_builder, _) = self.reduced_pieces(b);
-            for &s in preps {
-                keys.push((s, b));
-                jobs.push(BatchJob::new(program_builder(s), vec![self.qubit]));
+        for (slot, bases) in settings.iter_mut().enumerate() {
+            if bases.is_empty() {
+                bases.push(if slot < k { Pauli::Z } else { Pauli::I });
             }
         }
-        SingleEnsemble { keys, jobs }
+        settings
     }
 
-    /// Builds the (possibly optimized) program pieces for measurement basis
-    /// `b`: returns a closure mapping a preparation state to an executable
-    /// program, plus the set of prefix qubits that survived reduction.
-    fn reduced_pieces(&self, b: Pauli) -> (impl Fn(PrepState) -> Program + '_, Vec<usize>) {
-        let j = self.qubit;
+    /// Builds the `settings × preps` preparation-ensemble jobs (Eq. 9
+    /// programs: reduced prefix; reset; reduced segment + rotations;
+    /// measure).
+    pub fn ensemble(&self, settings: &[Vec<Pauli>; 2]) -> Ensemble {
+        let preps = self.config.job_preps(self.qubits.len());
+        let mut keys = Vec::new();
+        let mut jobs = Vec::new();
+        for &b0 in &settings[0] {
+            for &b1 in &settings[1] {
+                let bases = [b0, b1];
+                let program = self.reduced_pieces(bases);
+                for &p in &preps {
+                    keys.push(EnsembleKey { preps: p, bases });
+                    jobs.push(BatchJob::new(program(p), self.qubits.to_vec()));
+                }
+            }
+        }
+        Ensemble { keys, jobs }
+    }
+
+    /// Builds the (possibly optimized) program pieces for one basis
+    /// setting: a closure mapping a preparation to an executable program.
+    fn reduced_pieces(&self, bases: SubsetPauli) -> impl Fn([PrepState; 2]) -> Program + '_ {
+        let qubits = self.qubits;
         let n = self.prefix.n_qubits().max(self.segment.n_qubits());
-        // Segment + rotation, reduced for the terminal Z measurement of j.
+        // Segment + rotations, reduced for the terminal Z measurement.
         let mut seg_rot = Circuit::new(n);
         seg_rot.append(self.segment);
-        for i in basis::measure_rotation(b, j) {
-            seg_rot.push_instruction(i);
+        for (&q, &b) in qubits.iter().zip(&bases) {
+            for i in basis::measure_rotation(b, q) {
+                seg_rot.push_instruction(i);
+            }
         }
         let (segment_final, active) = if self.config.optimize_circuits {
-            let red = passes::reduce_for_z_measurement(&seg_rot, &[j]);
+            let red = passes::reduce_for_z_measurement(&seg_rot, qubits);
             (red.circuit, red.active_qubits)
         } else {
-            let all: Vec<usize> = (0..n).collect();
-            (seg_rot, all)
+            (seg_rot, (0..n).collect())
         };
-        // Prefix matters only for the surviving non-traced qubits.
-        let prefix_targets: Vec<usize> = active.iter().copied().filter(|&q| q != j).collect();
+        // The prefix matters only for the surviving untraced qubits.
+        let prefix_targets: Vec<usize> =
+            active.into_iter().filter(|q| !qubits.contains(q)).collect();
         let prefix_final = if self.config.optimize_circuits {
             passes::reduce_for_state_preparation(self.prefix, &prefix_targets).circuit
         } else {
             self.prefix.clone()
         };
-        let builder = move |s: PrepState| -> Program {
+        move |preps: [PrepState; 2]| -> Program {
             let mut program = Program::new(n);
             program.push_circuit(&prefix_final);
-            program.push_reset_state(&[j], s);
+            if let &[q0, q1] = qubits {
+                program.push_reset_pair(&[q0, q1], preps[0], preps[1]);
+            } else {
+                program.push_reset_state(qubits, preps[0]);
+            }
             program.push_circuit(&segment_final);
             program
-        };
-        (builder, prefix_targets)
+        }
     }
 }
 
-/// Tabulates an executed [`SingleEnsemble`]: the per-job `⟨Z⟩` expectations
-/// keyed by `(prep, basis)`, plus accumulated execution statistics.
-pub fn tabulate_single(
-    keys: &[(PrepState, Pauli)],
+/// Tabulates an executed [`Ensemble`]: every job's parity expectations
+/// (see [`parity_expectations`]) keyed by its preparations and the Pauli
+/// each reads, in job order, plus accumulated execution statistics.
+pub fn tabulate(
+    keys: &[EnsembleKey],
     outs: &[RunOutput],
-) -> (BTreeMap<(PrepState, Pauli), f64>, QspcStats) {
+) -> (BTreeMap<EnsembleKey, f64>, QspcStats) {
     let mut stats = QspcStats::default();
-    let mut e: BTreeMap<(PrepState, Pauli), f64> = BTreeMap::new();
-    for (&(s, b), out) in keys.iter().zip(outs) {
+    let mut table = BTreeMap::new();
+    for (key, out) in keys.iter().zip(outs) {
         stats.absorb(out);
-        e.insert((s, b), out.dist.prob(0) - out.dist.prob(1));
+        for (bases, e) in parity_expectations(key.bases, out) {
+            table.insert(
+                EnsembleKey {
+                    preps: key.preps,
+                    bases,
+                },
+                e,
+            );
+        }
     }
-    (e, stats)
+    (table, stats)
 }
 
-/// Combines a tabulated single-qubit ensemble into mitigated expectations
-/// (Eqs. (5)–(8) with the post-selection denominator). Returns the map and
-/// the denominator. Purely classical: safe to run long after execution.
+/// Combines a tabulated ensemble into mitigated expectations (Eqs. (5)–(8)
+/// with the post-selection denominator for one qubit, their analogue over
+/// `{I, Z}^⊗2` for a pair). Returns the map and the denominator. Purely
+/// classical: safe to run long after execution.
 ///
 /// # Panics
 ///
-/// Panics if `rho_in` is not 2×2.
-pub fn combine_single_mitigated(
+/// Panics if `rho_in` is neither 2×2 nor 4×4.
+pub fn combine_mitigated(
     config: &QspcConfig,
     rho_in: &Matrix,
-    outputs: &[Pauli],
-    e: &BTreeMap<(PrepState, Pauli), f64>,
-) -> (BTreeMap<Pauli, f64>, f64) {
-    assert_eq!(rho_in.rows(), 2, "rho_in must be a single-qubit state");
-    let z = qt_math::pauli::z2();
-    // σ_t = x ρ y for (x, y) ∈ {I,Z}² — Eqs. (5)–(8).
-    let sigmas = [
-        rho_in.clone(),        // (I, I)
-        z.mul(rho_in),         // (Z, I)
-        rho_in.mul(&z),        // (I, Z)
-        z.mul(rho_in).mul(&z), // (Z, Z)
-    ];
-    let preps = config.preps();
-    let alphas: Vec<Vec<Complex>> = sigmas.iter().map(|m| config.decompose(m)).collect();
-    let all_vs = QspcSingleSpec::sandwich_terms(outputs);
-    let lookup = |s: PrepState, p: Pauli| -> f64 {
-        if p == Pauli::I {
+    outputs: &[SubsetPauli],
+    table: &BTreeMap<EnsembleKey, f64>,
+) -> (BTreeMap<SubsetPauli, f64>, f64) {
+    let k = match rho_in.rows() {
+        2 => 1,
+        4 => 2,
+        d => panic!("rho_in must be a one- or two-qubit state, got dimension {d}"),
+    };
+    let g = group(k);
+    let pairs = group_pairs(k);
+    // σ_{xy} = x ρ y and their preparation decompositions, in the same
+    // order as `sandwich_terms`.
+    let alphas: Vec<Vec<([PrepState; 2], Complex)>> = pairs
+        .iter()
+        .map(|&(x, y)| config.decompose(k, &g[x].mul(rho_in).mul(&g[y])))
+        .collect();
+    let lookup = |preps: [PrepState; 2], bases: SubsetPauli| -> f64 {
+        if bases == [Pauli::I; 2] {
             1.0
         } else {
-            e[&(s, p)]
+            table[&EnsembleKey { preps, bases }]
         }
     };
-
-    // Combine. The 1/|G|² factor normalizes so that a noiseless run
-    // yields den = 1 (the |G|² equal terms of the expansion).
-    let combine = |vs: &[Matrix; 4]| -> f64 {
+    // The 1/|G|² factor normalizes so that a noiseless run yields den = 1
+    // (the |G|² equal terms of the expansion).
+    let combine = |vs: &[Matrix]| -> f64 {
         let mut acc = Complex::ZERO;
-        for (t, v) in vs.iter().enumerate() {
-            let (c, p) = pauli_component_2x2(v);
-            for (si, s) in preps.iter().enumerate() {
-                acc += alphas[t][si] * c * lookup(*s, p);
+        for (v, alpha) in vs.iter().zip(&alphas) {
+            let (c, p) = pauli_component(k, v);
+            for &(preps, a) in alpha {
+                acc += a * c * lookup(preps, p);
             }
         }
         debug_assert!(acc.im.abs() < 1e-6, "imaginary residue {}", acc.im);
-        acc.re / 4.0
+        acc.re / pairs.len() as f64
     };
 
-    let den = combine(&all_vs[0].1);
+    let terms = sandwich_terms(k, outputs);
+    let den = combine(&terms[0]);
     let mut out = BTreeMap::new();
-    for (o, vs) in &all_vs[1..] {
-        let o = o.expect("outputs carry their Pauli");
-        let num = combine(vs);
+    for (&o, vs) in outputs.iter().zip(&terms[1..]) {
         let value = if den.abs() < config.den_floor {
-            // Fall back to the unmitigated expectation: term (5) only.
+            // Fall back to the unmitigated expectation: the (I, I) term.
             let mut acc = Complex::ZERO;
-            for (si, s) in preps.iter().enumerate() {
-                acc += alphas[0][si] * lookup(*s, o);
+            for &(preps, a) in &alphas[0] {
+                acc += a * lookup(preps, o);
             }
             acc.re
         } else {
-            (num / den).clamp(-1.0, 1.0)
+            (combine(vs) / den).clamp(-1.0, 1.0)
         };
         out.insert(o, value);
     }
@@ -331,8 +502,8 @@ pub fn combine_single_mitigated(
 /// Assembles a physical single-qubit state from tabulated `X`/`Y`/`Z`
 /// expectations, clipping the Bloch vector to the unit ball — the final
 /// step of the SQEM baseline's single-qubit state reconstruction.
-pub fn bloch_state_from_expectations(exps: &BTreeMap<Pauli, f64>) -> Matrix {
-    let mut v = [exps[&Pauli::X], exps[&Pauli::Y], exps[&Pauli::Z]];
+pub fn bloch_state_from_expectations(exps: &BTreeMap<SubsetPauli, f64>) -> Matrix {
+    let mut v = [Pauli::X, Pauli::Y, Pauli::Z].map(|p| exps[&[p, Pauli::I]]);
     let norm = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
     if norm > 1.0 {
         for c in &mut v {
@@ -340,346 +511,6 @@ pub fn bloch_state_from_expectations(exps: &BTreeMap<Pauli, f64>) -> Matrix {
         }
     }
     qt_math::states::density_from_bloch(v)
-}
-
-/// Tabulation key of the pair preparation ensemble:
-/// `(prep_low, prep_high, basis_low, basis_high)`.
-pub type PairEnsembleKey = (PrepState, PrepState, Pauli, Pauli);
-
-/// A two-qubit subsetting Pauli check in *plan form* (see
-/// [`QspcSingleSpec`] for the split between generation and combination).
-#[derive(Debug, Clone, Copy)]
-pub struct QspcPairSpec<'a> {
-    /// The traced pair; `qubits[0]` is bit 0 of local indices.
-    pub qubits: [usize; 2],
-    /// Noisy prefix before the cut.
-    pub prefix: &'a Circuit,
-    /// The protected segment (must commute with Z on both qubits).
-    pub segment: &'a Circuit,
-    /// Options.
-    pub config: QspcConfig,
-}
-
-/// The executable preparation ensemble of one pair check.
-#[derive(Debug, Clone)]
-pub struct PairEnsemble {
-    /// `(prep_low, prep_high, basis_low, basis_high)` per job, in job order.
-    pub keys: Vec<PairEnsembleKey>,
-    /// The executable programs (measuring the traced pair).
-    pub jobs: Vec<BatchJob>,
-}
-
-/// One sandwiched pair observable with its 16 `V_{xy}` matrices.
-type PairTerm = (Option<(Pauli, Pauli)>, Vec<Matrix>);
-
-impl<'a> QspcPairSpec<'a> {
-    /// The check group `{I, Z_low, Z_high, Z_low·Z_high}` as 4×4 operators
-    /// (index bit 0 = `qubits[0]` = low).
-    fn group() -> [Matrix; 4] {
-        let id2 = Matrix::identity(2);
-        let z = qt_math::pauli::z2();
-        let z_low = id2.kron(&z);
-        let z_high = z.kron(&id2);
-        [
-            Matrix::identity(4),
-            z_low.clone(),
-            z_high.clone(),
-            z_high.mul(&z_low),
-        ]
-    }
-
-    /// `V_{xy}(O) = y·O·x` over all 16 group pairs (`x` outer, `y` inner),
-    /// denominator identity first — the ordering `combine` relies on.
-    fn sandwich_terms(outputs: &[(Pauli, Pauli)]) -> Vec<PairTerm> {
-        let g = Self::group();
-        let mut pairs_xy: Vec<(usize, usize)> = Vec::with_capacity(16);
-        for xi in 0..4 {
-            for yi in 0..4 {
-                pairs_xy.push((xi, yi));
-            }
-        }
-        let v_of = |o: &Matrix| -> Vec<Matrix> {
-            pairs_xy
-                .iter()
-                .map(|&(xi, yi)| g[yi].mul(o).mul(&g[xi]))
-                .collect()
-        };
-        let o_matrix =
-            |(p_low, p_high): (Pauli, Pauli)| -> Matrix { p_high.matrix().kron(&p_low.matrix()) };
-        let mut all_vs: Vec<PairTerm> = vec![(None, v_of(&Matrix::identity(4)))];
-        for &o in outputs {
-            all_vs.push((Some(o), v_of(&o_matrix(o))));
-        }
-        all_vs
-    }
-
-    /// The per-slot basis settings a *mitigated* evaluation of `outputs`
-    /// needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment is not Z-checkable on both qubits.
-    pub fn mitigated_settings(&self, outputs: &[(Pauli, Pauli)]) -> (Vec<Pauli>, Vec<Pauli>) {
-        assert!(
-            crate::checks::z_checkable(self.segment, &self.qubits),
-            "segment does not commute with Z on the traced pair"
-        );
-        let mut needed_low: Vec<Pauli> = Vec::new();
-        let mut needed_high: Vec<Pauli> = Vec::new();
-        for (_, vs) in &Self::sandwich_terms(outputs) {
-            for v in vs {
-                let (_, pl, ph) = pauli_component_4x4(v);
-                if pl != Pauli::I && !needed_low.contains(&pl) {
-                    needed_low.push(pl);
-                }
-                if ph != Pauli::I && !needed_high.contains(&ph) {
-                    needed_high.push(ph);
-                }
-            }
-        }
-        if needed_low.is_empty() {
-            needed_low.push(Pauli::Z);
-        }
-        if needed_high.is_empty() {
-            needed_high.push(Pauli::Z);
-        }
-        (needed_low, needed_high)
-    }
-
-    /// Builds the `settings × preps²` preparation-ensemble jobs.
-    pub fn ensemble(&self, needed_low: &[Pauli], needed_high: &[Pauli]) -> PairEnsemble {
-        let mut keys: Vec<PairEnsembleKey> = Vec::new();
-        let mut jobs: Vec<BatchJob> = Vec::new();
-        for &bl in needed_low {
-            for &bh in needed_high {
-                let builder = self.reduced_pieces(bl, bh);
-                for s_low in PrepState::REDUCED {
-                    for s_high in PrepState::REDUCED {
-                        keys.push((s_low, s_high, bl, bh));
-                        jobs.push(BatchJob::new(
-                            builder(s_low, s_high),
-                            vec![self.qubits[0], self.qubits[1]],
-                        ));
-                    }
-                }
-            }
-        }
-        PairEnsemble { keys, jobs }
-    }
-
-    fn reduced_pieces(
-        &self,
-        bl: Pauli,
-        bh: Pauli,
-    ) -> impl Fn(PrepState, PrepState) -> Program + '_ {
-        let [q0, q1] = self.qubits;
-        let n = self.prefix.n_qubits().max(self.segment.n_qubits());
-        let mut seg_rot = Circuit::new(n);
-        seg_rot.append(self.segment);
-        for i in basis::measure_rotation(bl, q0) {
-            seg_rot.push_instruction(i);
-        }
-        for i in basis::measure_rotation(bh, q1) {
-            seg_rot.push_instruction(i);
-        }
-        let (segment_final, active) = if self.config.optimize_circuits {
-            let red = passes::reduce_for_z_measurement(&seg_rot, &[q0, q1]);
-            (red.circuit, red.active_qubits)
-        } else {
-            let all: Vec<usize> = (0..n).collect();
-            (seg_rot, all)
-        };
-        let prefix_targets: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&q| q != q0 && q != q1)
-            .collect();
-        let prefix_final = if self.config.optimize_circuits {
-            passes::reduce_for_state_preparation(self.prefix, &prefix_targets).circuit
-        } else {
-            self.prefix.clone()
-        };
-        move |s_low: PrepState, s_high: PrepState| -> Program {
-            let mut program = Program::new(n);
-            program.push_circuit(&prefix_final);
-            program.push_reset_pair(&[q0, q1], s_low, s_high);
-            program.push_circuit(&segment_final);
-            program
-        }
-    }
-}
-
-/// Tabulates an executed [`PairEnsemble`]: every measured pair expectation
-/// `E[(s_low, s_high)][(P_low, P_high)]` (`I` slots ride along with their
-/// setting's basis), plus accumulated execution statistics.
-pub fn tabulate_pair(
-    keys: &[PairEnsembleKey],
-    outs: &[RunOutput],
-) -> (BTreeMap<PairEnsembleKey, f64>, QspcStats) {
-    let mut stats = QspcStats::default();
-    let mut e: BTreeMap<PairEnsembleKey, f64> = BTreeMap::new();
-    for (&(s_low, s_high, bl, bh), out) in keys.iter().zip(outs) {
-        stats.absorb(out);
-        let dist = &out.dist;
-        // Expectations of all Paulis compatible with (bl, bh).
-        let exp = |mask: u64| -> f64 {
-            dist.iter()
-                .map(|(i, p)| {
-                    if (i & mask).count_ones().is_multiple_of(2) {
-                        p
-                    } else {
-                        -p
-                    }
-                })
-                .sum()
-        };
-        e.insert((s_low, s_high, bl, Pauli::I), exp(0b01));
-        e.insert((s_low, s_high, Pauli::I, bh), exp(0b10));
-        e.insert((s_low, s_high, bl, bh), exp(0b11));
-    }
-    (e, stats)
-}
-
-/// Looks up a tabulated pair expectation, substituting the first recorded
-/// setting for `I` slots — the convention [`tabulate_pair`] records under.
-fn lookup_pair(
-    e: &BTreeMap<PairEnsembleKey, f64>,
-    needed_low: &[Pauli],
-    needed_high: &[Pauli],
-    sl: PrepState,
-    sh: PrepState,
-    pl: Pauli,
-    ph: Pauli,
-) -> f64 {
-    if pl == Pauli::I && ph == Pauli::I {
-        return 1.0;
-    }
-    let bl = if pl == Pauli::I { needed_low[0] } else { pl };
-    let bh = if ph == Pauli::I { needed_high[0] } else { ph };
-    let key = if pl == Pauli::I {
-        (sl, sh, Pauli::I, bh)
-    } else if ph == Pauli::I {
-        (sl, sh, bl, Pauli::I)
-    } else {
-        (sl, sh, bl, bh)
-    };
-    e[&key]
-}
-
-/// Combines a tabulated pair ensemble into mitigated expectations. Returns
-/// the map and the post-selection denominator. `needed_low`/`needed_high`
-/// must be the settings the ensemble was built with.
-///
-/// # Panics
-///
-/// Panics if `rho_in` is not 4×4.
-pub fn combine_pair_mitigated(
-    config: &QspcConfig,
-    rho_in: &Matrix,
-    outputs: &[(Pauli, Pauli)],
-    needed_low: &[Pauli],
-    needed_high: &[Pauli],
-    e: &BTreeMap<PairEnsembleKey, f64>,
-) -> (BTreeMap<(Pauli, Pauli), f64>, f64) {
-    assert_eq!(rho_in.rows(), 4, "rho_in must be a two-qubit state");
-    let g = QspcPairSpec::group();
-    // σ_{xy} = x ρ y and their prep decompositions (`x` outer, `y` inner —
-    // the same ordering as `sandwich_terms`).
-    let mut alphas: Vec<[[Complex; 4]; 4]> = Vec::with_capacity(16);
-    for x in g.iter() {
-        for y in g.iter() {
-            alphas.push(decompose_two_qubit_operator(&x.mul(rho_in).mul(y)));
-        }
-    }
-    let all_vs = QspcPairSpec::sandwich_terms(outputs);
-    let lookup = |sl: PrepState, sh: PrepState, pl: Pauli, ph: Pauli| -> f64 {
-        lookup_pair(e, needed_low, needed_high, sl, sh, pl, ph)
-    };
-
-    let combine = |vs: &[Matrix]| -> f64 {
-        let mut acc = Complex::ZERO;
-        for (t, v) in vs.iter().enumerate() {
-            let (c, pl, ph) = pauli_component_4x4(v);
-            if c == Complex::ZERO {
-                continue;
-            }
-            for (si, s_high) in PrepState::REDUCED.iter().enumerate() {
-                for (ti, s_low) in PrepState::REDUCED.iter().enumerate() {
-                    // alphas indexed [high][low].
-                    acc += alphas[t][si][ti] * c * lookup(*s_low, *s_high, pl, ph);
-                }
-            }
-        }
-        debug_assert!(acc.im.abs() < 1e-6, "imaginary residue {}", acc.im);
-        acc.re / 16.0
-    };
-
-    let den = combine(&all_vs[0].1);
-    let mut out = BTreeMap::new();
-    for (o, vs) in &all_vs[1..] {
-        let o = o.expect("outputs carry their Paulis");
-        let num = combine(vs);
-        let value = if den.abs() < config.den_floor {
-            let mut acc = Complex::ZERO;
-            // Unmitigated: term (x, y) = (I, I), index 0.
-            for (si, s_high) in PrepState::REDUCED.iter().enumerate() {
-                for (ti, s_low) in PrepState::REDUCED.iter().enumerate() {
-                    acc += alphas[0][si][ti] * lookup(*s_low, *s_high, o.0, o.1);
-                }
-            }
-            acc.re
-        } else {
-            (num / den).clamp(-1.0, 1.0)
-        };
-        out.insert(o, value);
-    }
-    (out, den)
-}
-
-/// Decomposes a 2×2 operator that is proportional to a single Pauli:
-/// returns `(c, P)` with `V = c·P`. Exact for products of Paulis.
-///
-/// # Panics
-///
-/// Panics (debug) if `V` has more than one Pauli component.
-fn pauli_component_2x2(v: &Matrix) -> (Complex, Pauli) {
-    let mut found = (Complex::ZERO, Pauli::I);
-    let mut count = 0;
-    for p in Pauli::ALL {
-        let c = p.matrix().trace_product(v) / 2.0;
-        if c.norm() > 1e-12 {
-            found = (c, p);
-            count += 1;
-        }
-    }
-    debug_assert!(count <= 1, "operator is not a single Pauli component");
-    if count == 0 {
-        (Complex::ZERO, Pauli::I)
-    } else {
-        found
-    }
-}
-
-/// Same for 4×4 operators: returns `(c, P_low, P_high)`.
-fn pauli_component_4x4(v: &Matrix) -> (Complex, Pauli, Pauli) {
-    let mut found = (Complex::ZERO, Pauli::I, Pauli::I);
-    let mut count = 0;
-    for ph in Pauli::ALL {
-        for pl in Pauli::ALL {
-            let op = ph.matrix().kron(&pl.matrix());
-            let c = op.trace_product(v) / 4.0;
-            if c.norm() > 1e-12 {
-                found = (c, pl, ph);
-                count += 1;
-            }
-        }
-    }
-    debug_assert!(count <= 1, "operator is not a single Pauli component");
-    if count == 0 {
-        (Complex::ZERO, Pauli::I, Pauli::I)
-    } else {
-        found
-    }
 }
 
 /// Projects a Hermitian unit-trace matrix to a physical state: Hermitizes,
@@ -747,15 +578,17 @@ mod tests {
         rho_in: &Matrix,
         outputs: &[Pauli],
     ) -> (BTreeMap<Pauli, f64>, f64, QspcStats) {
-        let spec = QspcSingleSpec {
-            qubit: 0,
+        let spec = QspcSpec {
+            qubits: &[0],
             prefix,
             segment,
             config,
         };
-        let ens = spec.ensemble(&spec.mitigated_bases(outputs));
-        let (e, stats) = tabulate_single(&ens.keys, &exec.run_batch(&ens.jobs));
-        let (exps, den) = combine_single_mitigated(&config, rho_in, outputs, &e);
+        let outputs: Vec<SubsetPauli> = outputs.iter().map(|&p| [p, Pauli::I]).collect();
+        let ens = spec.ensemble(&spec.settings(&outputs));
+        let (e, stats) = tabulate(&ens.keys, &exec.run_batch(&ens.jobs));
+        let (exps, den) = combine_mitigated(&config, rho_in, &outputs, &e);
+        let exps = exps.into_iter().map(|([p, _], v)| (p, v)).collect();
         (exps, den, stats)
     }
 
@@ -768,22 +601,21 @@ mod tests {
         rho_in: &Matrix,
     ) -> (qt_dist::Distribution, f64) {
         let config = QspcConfig::default();
-        let spec = QspcPairSpec {
-            qubits: [0, 1],
+        let spec = QspcSpec {
+            qubits: &[0, 1],
             prefix,
             segment,
             config,
         };
         let outputs = [
-            (Pauli::Z, Pauli::I),
-            (Pauli::I, Pauli::Z),
-            (Pauli::Z, Pauli::Z),
+            [Pauli::Z, Pauli::I],
+            [Pauli::I, Pauli::Z],
+            [Pauli::Z, Pauli::Z],
         ];
-        let (low, high) = spec.mitigated_settings(&outputs);
-        let ens = spec.ensemble(&low, &high);
-        let (e, _) = tabulate_pair(&ens.keys, &exec.run_batch(&ens.jobs));
-        let (exps, den) = combine_pair_mitigated(&config, rho_in, &outputs, &low, &high, &e);
-        let (z0, z1, zz) = (exps[&outputs[0]], exps[&outputs[1]], exps[&outputs[2]]);
+        let ens = spec.ensemble(&spec.settings(&outputs));
+        let (e, _) = tabulate(&ens.keys, &exec.run_batch(&ens.jobs));
+        let (exps, den) = combine_mitigated(&config, rho_in, &outputs, &e);
+        let [z0, z1, zz] = outputs.map(|o| exps[&o]);
         let probs = (0..4)
             .map(|b| {
                 let s0 = if b & 1 == 0 { 1.0 } else { -1.0 };
@@ -855,18 +687,22 @@ mod tests {
 
         // Single-qubit ensemble: sampled expectations within shot noise of
         // the exact ones, identical stats accounting.
-        let spec = QspcSingleSpec {
-            qubit: 0,
+        let spec = QspcSpec {
+            qubits: &[0],
             prefix: &prefix,
             segment: &segment,
             config: QspcConfig::default(),
         };
-        let ens = spec.ensemble(&spec.mitigated_bases(&[Pauli::X, Pauli::Y, Pauli::Z]));
+        let ens = spec.ensemble(&spec.settings(&[
+            [Pauli::X, Pauli::I],
+            [Pauli::Y, Pauli::I],
+            [Pauli::Z, Pauli::I],
+        ]));
         let outs = exec.run_batch(&ens.jobs);
         let sampled: Vec<SampledOutput> =
             exec.run_batch_sampled(&ens.jobs, &ShotPlan::uniform(ens.jobs.len(), shots), 7);
-        let (exact_e, exact_stats) = tabulate_single(&ens.keys, &outs);
-        let (sampled_e, sampled_stats) = tabulate_single(&ens.keys, &to_run_outputs(&sampled));
+        let (exact_e, exact_stats) = tabulate(&ens.keys, &outs);
+        let (sampled_e, sampled_stats) = tabulate(&ens.keys, &to_run_outputs(&sampled));
         assert_eq!(exact_stats, sampled_stats, "gate accounting is shot-free");
         for (key, e) in &exact_e {
             let s = sampled_e[key];
@@ -875,19 +711,19 @@ mod tests {
         }
 
         // Pair ensemble, same contract.
-        let pair_spec = QspcPairSpec {
-            qubits: [0, 1],
+        let pair_spec = QspcSpec {
+            qubits: &[0, 1],
             prefix: &prefix,
             segment: &segment,
             config: QspcConfig::default(),
         };
-        let needed = [Pauli::Z];
-        let pens = pair_spec.ensemble(&needed, &needed);
+        let needed = vec![Pauli::Z];
+        let pens = pair_spec.ensemble(&[needed.clone(), needed]);
         let pouts = exec.run_batch(&pens.jobs);
         let psampled =
             exec.run_batch_sampled(&pens.jobs, &ShotPlan::uniform(pens.jobs.len(), shots), 11);
-        let (pe, pstats) = tabulate_pair(&pens.keys, &pouts);
-        let (pse, psstats) = tabulate_pair(&pens.keys, &to_run_outputs(&psampled));
+        let (pe, pstats) = tabulate(&pens.keys, &pouts);
+        let (pse, psstats) = tabulate(&pens.keys, &to_run_outputs(&psampled));
         assert_eq!(pstats, psstats);
         for (key, e) in &pe {
             let s = pse[key];

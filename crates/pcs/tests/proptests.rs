@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use qt_circuit::Circuit;
 use qt_math::{Matrix, Pauli};
-use qt_pcs::{combine_single_mitigated, tabulate_single, QspcConfig, QspcSingleSpec, QspcStats};
+use qt_pcs::{combine_mitigated, tabulate, QspcConfig, QspcSpec, QspcStats, SubsetPauli};
 use qt_sim::{Backend, Executor, NoiseModel, Program, Runner};
 use std::collections::BTreeMap;
 
@@ -19,15 +19,17 @@ fn mitigate(
     rho_in: &Matrix,
     outputs: &[Pauli],
 ) -> (BTreeMap<Pauli, f64>, f64, QspcStats) {
-    let spec = QspcSingleSpec {
-        qubit: 0,
+    let spec = QspcSpec {
+        qubits: &[0],
         prefix,
         segment,
         config,
     };
-    let ens = spec.ensemble(&spec.mitigated_bases(outputs));
-    let (e, stats) = tabulate_single(&ens.keys, &exec.run_batch(&ens.jobs));
-    let (exps, den) = combine_single_mitigated(&config, rho_in, outputs, &e);
+    let outputs: Vec<SubsetPauli> = outputs.iter().map(|&p| [p, Pauli::I]).collect();
+    let ens = spec.ensemble(&spec.settings(&outputs));
+    let (e, stats) = tabulate(&ens.keys, &exec.run_batch(&ens.jobs));
+    let (exps, den) = combine_mitigated(&config, rho_in, &outputs, &e);
+    let exps = exps.into_iter().map(|([p, _], v)| (p, v)).collect();
     (exps, den, stats)
 }
 

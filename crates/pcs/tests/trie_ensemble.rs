@@ -4,7 +4,7 @@
 //! segment once per preparation instead of once per `(prep, basis)` pair.
 
 use qt_math::Pauli;
-use qt_pcs::{QspcConfig, QspcSingleSpec};
+use qt_pcs::{QspcConfig, QspcSpec};
 use qt_sim::{ExecutionTrie, Program};
 
 #[test]
@@ -15,8 +15,8 @@ fn qspc_ensemble_trie_shares_prefix_and_per_prep_segment() {
     prefix.ry(0, 0.3).ry(1, 0.7).ry(2, -0.4).cz(0, 1).cz(1, 2);
     let mut segment = qt_circuit::Circuit::new(3);
     segment.cz(0, 1).cz(1, 2).ry(1, 0.5).ry(2, 0.9);
-    let spec = QspcSingleSpec {
-        qubit: 0,
+    let spec = QspcSpec {
+        qubits: &[0],
         prefix: &prefix,
         segment: &segment,
         config: QspcConfig {
@@ -24,8 +24,8 @@ fn qspc_ensemble_trie_shares_prefix_and_per_prep_segment() {
             ..QspcConfig::default()
         },
     };
-    let bases = [Pauli::X, Pauli::Y, Pauli::Z];
-    let ens = spec.ensemble(&bases);
+    let bases = vec![Pauli::X, Pauli::Y, Pauli::Z];
+    let ens = spec.ensemble(&[bases.clone(), vec![Pauli::I]]);
     let preps = 4; // PrepState::REDUCED
     assert_eq!(ens.jobs.len(), preps * bases.len());
 

@@ -100,9 +100,8 @@ pub(crate) struct RanBatch {
     /// Each live ticket with its plan-order jobs and their slots in
     /// `results`.
     pub(crate) requests: Vec<(Ticket, Vec<BatchJob>, Vec<usize>)>,
-    /// Per distinct job: its output or its typed failure (`None`: the
-    /// runner returned no result for it).
-    pub(crate) results: Vec<Option<Result<RunOutput, RunError>>>,
+    /// Per distinct job: its output or its typed failure.
+    pub(crate) results: Vec<Result<RunOutput, RunError>>,
     pub(crate) cache_hit_jobs: u64,
     /// Prefix sharing of the executed (miss) jobs.
     pub(crate) trie: TrieStats,
@@ -241,14 +240,10 @@ impl ServiceCore {
                 .iter()
                 .enumerate()
                 .map(|(local, &slot)| match &ran.results[slot] {
-                    Some(Ok(out)) => Ok(out.clone()),
-                    Some(Err(error)) => Err(ServiceError::Exec(ExecError::JobFailed {
+                    Ok(out) => Ok(out.clone()),
+                    Err(error) => Err(ServiceError::Exec(ExecError::JobFailed {
                         slot: local,
                         error: error.clone(),
-                    })),
-                    None => Err(ServiceError::Exec(ExecError::ResultCountMismatch {
-                        expected: slots.len(),
-                        got: 0,
                     })),
                 })
                 .collect();

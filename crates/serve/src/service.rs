@@ -435,22 +435,37 @@ pub(crate) fn execute_batch<R: Runner>(
 
     // Cache lookups per distinct job; the misses execute as ONE batch so
     // the trie scheduler merges shared prefixes across requests.
-    let mut results: Vec<Option<Result<RunOutput, RunError>>> = table
+    let hits: Vec<Option<RunOutput>> = table
         .iter()
-        .map(|job| cache.and_then(|cache| cache.get(job.dedup_key())).map(Ok))
+        .map(|job| cache.and_then(|cache| cache.get(job.dedup_key())))
         .collect();
-    let misses: Vec<usize> = (0..table.len()).filter(|&s| results[s].is_none()).collect();
-    let miss_jobs: Vec<BatchJob> = misses.iter().map(|&slot| table[slot].clone()).collect();
+    let miss_jobs: Vec<BatchJob> = table
+        .iter()
+        .zip(&hits)
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(job, _)| job.clone())
+        .collect();
     let (fresh, failures) = try_run_batch_resilient(runner, &miss_jobs, retry);
-    for (&slot, res) in misses.iter().zip(fresh) {
-        if let (Some(cache), Ok(out)) = (cache, &res) {
-            cache.insert(table[slot].dedup_key(), out.clone(), run_output_weight(out));
-        }
-        results[slot] = Some(res);
-    }
+    // The resilient run answers every miss, in order, even when a runner
+    // breaks the batch count, so each slot gets exactly one result.
+    let mut fresh = fresh.into_iter();
+    let results: Vec<Result<RunOutput, RunError>> = table
+        .iter()
+        .zip(hits)
+        .map(|(job, hit)| match hit {
+            Some(out) => Ok(out),
+            None => {
+                let res = fresh.next().expect("one resilient result per miss");
+                if let (Some(cache), Ok(out)) = (cache, &res) {
+                    cache.insert(job.dedup_key(), out.clone(), run_output_weight(out));
+                }
+                res
+            }
+        })
+        .collect();
     RanBatch {
         requests,
-        cache_hit_jobs: (table.len() - misses.len()) as u64,
+        cache_hit_jobs: (table.len() - miss_jobs.len()) as u64,
         trie: batch_trie_stats(&miss_jobs),
         failures,
         results,

@@ -441,6 +441,7 @@ fn plan_error_to_json(e: &PlanError) -> Json {
             ("qubit", Json::Num(*qubit as f64)),
             ("n_qubits", Json::Num(*n_qubits as f64)),
         ]),
+        PlanError::FullPrepsForPairs => obj([("kind", Json::Str("full_preps_for_pairs".into()))]),
         PlanError::MeasuredTooSmall { needed, got } => obj([
             ("kind", Json::Str("measured_too_small".into())),
             ("needed", Json::Num(*needed as f64)),
@@ -465,6 +466,7 @@ fn plan_error_from_json(j: &Json) -> Result<PlanError, String> {
             qubit: j.field("qubit", "plan_error")?.as_usize("qubit")?,
             n_qubits: j.field("n_qubits", "plan_error")?.as_usize("n_qubits")?,
         }),
+        "full_preps_for_pairs" => Ok(PlanError::FullPrepsForPairs),
         "measured_too_small" => Ok(PlanError::MeasuredTooSmall {
             needed: j.field("needed", "plan_error")?.as_usize("needed")?,
             got: j.field("got", "plan_error")?.as_usize("got")?,

@@ -422,6 +422,115 @@ fn http_shell_maps_errors_to_statuses() {
     server.shutdown();
 }
 
+/// A pair config asking for the six-state preparation basis is refused at
+/// `POST /submit` with a 422 `plan_error`, in process and over HTTP,
+/// instead of being served the reduced basis.
+#[test]
+fn six_state_pairs_are_refused_with_422() {
+    let vqe = qt_algos::vqe_ansatz(4, 1, 1);
+    let mut cfg = QuTracerConfig::pairs();
+    cfg.trace.use_reduced_preps = false;
+    let service = MitigationService::new(runner(), ServiceConfig::default());
+    match service.submit(&vqe, &[0, 1, 2, 3], &cfg) {
+        Err(ServiceError::Plan(qt_core::PlanError::FullPrepsForPairs)) => {}
+        other => panic!("expected FullPrepsForPairs, got {other:?}"),
+    }
+    assert_eq!(service.stats().submitted, 0);
+    service.shutdown();
+
+    let server = serve("127.0.0.1:0", runner(), ServiceConfig::default()).expect("bind");
+    let client = ServiceClient::new(server.addr());
+    match client.submit(&vqe, &[0, 1, 2, 3], &cfg) {
+        Err(ClientError::Server {
+            status,
+            kind,
+            message,
+        }) => {
+            assert_eq!((status, kind.as_str()), (422, "plan_error"));
+            assert!(message.contains("reduced"), "{message}");
+        }
+        other => panic!("six-state pairs returned {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// An executor whose first fallible batch loses its last result: a runner
+/// breaking the one-result-per-job contract once.
+struct DropsFirstBatchResult {
+    inner: Executor,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl qt_sim::Runner for DropsFirstBatchResult {
+    fn run(&self, program: &qt_sim::Program, measured: &[usize]) -> qt_sim::RunOutput {
+        self.inner.run(program, measured)
+    }
+
+    fn engine_mix(&self, jobs: &[qt_sim::BatchJob]) -> Option<Vec<(String, usize)>> {
+        self.inner.engine_mix(jobs)
+    }
+
+    fn try_run_batch(
+        &self,
+        jobs: &[qt_sim::BatchJob],
+    ) -> Vec<Result<qt_sim::RunOutput, qt_sim::RunError>> {
+        let mut results = self.inner.try_run_batch(jobs);
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            results.pop();
+        }
+        results
+    }
+}
+
+/// A runner that breaks the batch count fails every request of that batch
+/// with a typed `JobFailed`, never a panic, and the service serves the
+/// next batch bit-identically.
+#[test]
+fn a_dropped_result_fails_its_batch_and_the_next_is_served() {
+    let n = 4;
+    let circuits: Vec<Circuit> = (0..2)
+        .map(|v| qaoa_maxcut(n, &ring_graph(n), &QaoaParams::seeded(1, v)))
+        .collect();
+    let measured: Vec<usize> = (0..n).collect();
+    let cfg = QuTracerConfig::single();
+    let service = MitigationService::new(
+        DropsFirstBatchResult {
+            inner: runner(),
+            armed: true.into(),
+        },
+        ServiceConfig {
+            batch_max_requests: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let ids: Vec<u64> = circuits
+        .iter()
+        .map(|c| service.submit(c, &measured, &cfg).expect("admitted"))
+        .collect();
+    assert!(service.process_next_batch());
+    for id in ids {
+        match service.wait_result(id, Duration::from_secs(30)) {
+            Err(ServiceError::Exec(qt_core::ExecError::JobFailed { error, .. })) => {
+                assert_eq!(error.kind, qt_sim::RunErrorKind::Backend, "{error}");
+                assert!(!error.transient, "{error}");
+            }
+            other => panic!("request {id} of the broken batch returned {other:?}"),
+        }
+    }
+    let id = service
+        .submit(&circuits[0], &measured, &cfg)
+        .expect("admitted");
+    assert!(service.process_next_batch());
+    let served = service
+        .wait_result(id, Duration::from_secs(30))
+        .expect("the next batch is served");
+    assert_report_identical(
+        &served,
+        &run_qutracer(&runner(), &circuits[0], &measured, &cfg),
+    );
+    service.shutdown();
+}
+
 /// A Bell pair and its offline report: the request the `Duration::MAX`
 /// tests below serve.
 fn bell() -> (Circuit, QuTracerReport) {

@@ -8,7 +8,8 @@
 
 use qt_algos::{qaoa_maxcut, ring_graph, QaoaParams};
 use qt_baselines::OverheadStats;
-use qt_core::{run_qutracer, QuTracerConfig, ShotPolicy, TraceConfig};
+use qt_circuit::passes::UnsupportedCoupling;
+use qt_core::{run_qutracer, PlanError, QuTracerConfig, ShotPolicy, SkippedSubset, TraceConfig};
 use qt_dist::{Counts, Distribution};
 use qt_serve::json::Json;
 use qt_serve::wire::{
@@ -153,6 +154,41 @@ fn full_report_roundtrips_bitwise() {
     assert_eq!(back.stats.batch, report.stats.batch);
     assert_eq!(back.stats.engine_mix, report.stats.engine_mix);
     assert_eq!(back.subset_stats, report.subset_stats);
+}
+
+/// Every `PlanError` variant a skipped subset can carry crosses the wire
+/// as itself, the pair-only preparation-basis refusal included.
+#[test]
+fn plan_error_variants_roundtrip_as_skipped_reasons() {
+    let circuit = qaoa_maxcut(4, &ring_graph(4), &QaoaParams::seeded(1, 3));
+    let runner = Executor::new(NoiseModel::depolarizing(0.001, 0.01).with_readout(0.02));
+    let mut report = run_qutracer(&runner, &circuit, &[0, 1, 2, 3], &QuTracerConfig::single());
+    let reasons = [
+        PlanError::UnsupportedSubsetSize { size: 3 },
+        PlanError::InvalidMeasured {
+            qubit: 9,
+            n_qubits: 4,
+        },
+        PlanError::FullPrepsForPairs,
+        PlanError::MeasuredTooSmall { needed: 2, got: 1 },
+        PlanError::coupling(
+            vec![1, 2],
+            UnsupportedCoupling {
+                index: 5,
+                instruction: "cx q1, q3".into(),
+            },
+        ),
+    ];
+    report.skipped = reasons
+        .iter()
+        .map(|reason| SkippedSubset {
+            qubits: vec![1, 2],
+            positions: vec![1, 2],
+            reason: reason.clone(),
+        })
+        .collect();
+    let back = report_from_json(&through_wire(report_to_json(&report))).unwrap();
+    assert_eq!(back.skipped, report.skipped);
 }
 
 #[test]

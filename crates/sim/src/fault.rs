@@ -720,6 +720,9 @@ fn validate_shapes(
 /// retry-with-backoff for transient errors, re-submitting only the failed
 /// jobs as one sub-batch per attempt.
 ///
+/// Returns exactly one result per job, in job order, also when the runner
+/// breaks the batch count (see [`try_run_batch_isolated`]).
+///
 /// Determinism: every surviving `Ok` output is bit-identical to the
 /// fault-free run of the same job list — retries re-execute deterministic
 /// jobs, backoff only delays them, and quarantine re-runs healthy jobs in
@@ -801,6 +804,43 @@ mod tests {
         let ys: Vec<(u64, u64)> = b.dist.iter().map(|(i, p)| (i, p.to_bits())).collect();
         assert_eq!(xs, ys, "{what}: distributions differ");
         assert_eq!(a.gates, b.gates, "{what}: gate counts differ");
+    }
+
+    /// An executor whose fallible batch loses its last result: a runner
+    /// breaking the one-result-per-job contract.
+    struct DropsLastResult(Executor);
+
+    impl Runner for DropsLastResult {
+        fn run(&self, program: &Program, measured: &[usize]) -> RunOutput {
+            self.0.run(program, measured)
+        }
+
+        fn try_run_batch(&self, jobs: &[BatchJob]) -> Vec<Result<RunOutput, RunError>> {
+            let mut results = self.0.try_run_batch(jobs);
+            results.pop();
+            results
+        }
+    }
+
+    /// A count violation leaves no per-job attribution: both the isolated
+    /// and the resilient run answer every job, in order, with a permanent
+    /// `Backend` error, and never retry.
+    #[test]
+    fn a_runner_dropping_a_result_fails_every_job_permanently() {
+        let batch = jobs(5);
+        let runner = DropsLastResult(executor());
+        let (isolated, panics) = try_run_batch_isolated(&runner, &batch);
+        let (resilient, stats) = try_run_batch_resilient(&runner, &batch, &RetryPolicy::default());
+        assert_eq!(panics, 0);
+        for results in [&isolated, &resilient] {
+            assert_eq!(results.len(), batch.len());
+            for r in results {
+                let e = r.as_ref().expect_err("no job survives a count violation");
+                assert_eq!((e.kind, e.transient), (RunErrorKind::Backend, false));
+            }
+        }
+        assert_eq!(stats.failed_jobs, batch.len() as u64);
+        assert_eq!(stats.retries, 0);
     }
 
     #[test]
