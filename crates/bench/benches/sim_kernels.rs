@@ -163,6 +163,20 @@ fn bench_density_matrix(c: &mut Criterion) {
             )
         });
     }
+    // The global of a fresh `service_zipf` request and of `qaoa_sampled`'s
+    // 8-qubit unit: a two-layer 8-qubit QAOA ring on those workloads'
+    // executor, whose `Backend::Auto` runs it on the density matrix.
+    let ring = qt_algos::qaoa_maxcut(
+        8,
+        &qt_algos::ring_graph(8),
+        &qt_algos::QaoaParams::seeded(2, 1),
+    );
+    let ring = Program::from_circuit(&ring);
+    let measured: Vec<usize> = (0..8).collect();
+    group.bench_function("qaoa8_ring_global", |b| {
+        let exec = Executor::new(qt_bench::mumbai_uniform_noise());
+        b.iter(|| black_box(exec.noisy_distribution(&ring, &measured)))
+    });
     group.finish();
 }
 

@@ -470,9 +470,7 @@ pub(crate) fn trace_with_port(
             kind: JobKind::Fallback,
         };
         let out = port.submit(vec![job], vec![tag])?.remove(0);
-        stats.n_circuits += 1;
-        stats.total_gates += out.gates;
-        stats.total_two_qubit_gates += out.two_qubit_gates;
+        stats.absorb(&out);
         return Ok(TraceOutcome {
             local: out.dist.normalized(),
             rho,

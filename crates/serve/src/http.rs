@@ -96,6 +96,7 @@ fn status_text(status: u16) -> &'static str {
         429 => "Too Many Requests",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
+        504 => "Gateway Timeout",
         _ => "Unknown",
     }
 }
@@ -137,4 +138,40 @@ pub fn response_status(msg: &Message) -> io::Result<u16> {
         .next()
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed status line"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::status_text;
+    use crate::error::ServiceError;
+    use qt_core::{ExecError, PlanError};
+
+    #[test]
+    fn every_service_error_status_has_a_reason_phrase() {
+        let errors = [
+            ServiceError::Overloaded { capacity: 1 },
+            ServiceError::BadRequest("bad".into()),
+            ServiceError::Plan(PlanError::FullPrepsForPairs),
+            ServiceError::Exec(ExecError::ArtifactsExhausted),
+            ServiceError::NotFound { job: 1 },
+            ServiceError::DeadlineExceeded {
+                job: 1,
+                deadline_millis: 1,
+            },
+            ServiceError::ShuttingDown,
+        ];
+        for e in &errors {
+            // Exhaustive, so a new variant has to join the list above.
+            match e {
+                ServiceError::Overloaded { .. }
+                | ServiceError::BadRequest(_)
+                | ServiceError::Plan(_)
+                | ServiceError::Exec(_)
+                | ServiceError::NotFound { .. }
+                | ServiceError::DeadlineExceeded { .. }
+                | ServiceError::ShuttingDown => {}
+            }
+            assert_ne!(status_text(e.status_code()), "Unknown", "{e:?}");
+        }
+    }
 }

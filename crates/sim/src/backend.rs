@@ -123,12 +123,7 @@ impl StateClass {
 /// [`density_evolution`] and the density-matrix [`EngineState`] share.
 pub(crate) fn apply_density_op(rho: &mut DensityMatrix, op: &Op, noise: &NoiseModel) {
     match op {
-        Op::Gate(instr) => {
-            rho.apply_instruction(instr);
-            for (qs, ch) in noise.channels_for(instr) {
-                rho.apply_channel(ch, &qs);
-            }
-        }
+        Op::Gate(instr) => rho.apply_noisy_instruction(instr, noise),
         Op::IdealGate(instr) => rho.apply_instruction(instr),
         Op::Reset { qubits, ket } => {
             let rho_small = ket_to_density(ket);

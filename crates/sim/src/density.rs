@@ -1,12 +1,36 @@
 //! Exact mixed-state simulation.
 //!
 //! The density matrix of an `n`-qubit register is stored as a flat array of
-//! `4^n` amplitudes indexed by `row | (col << n)` — i.e. as a state vector on
-//! `2n` virtual qubits. A unitary `U` on qubits `qs` becomes `U` on the row
-//! bits and `conj(U)` on the column bits, so the state-vector kernel is
-//! reused verbatim; Kraus channels are sums of such applications.
+//! `4^n` amplitudes indexed by `row | (col << n)`, so column `c` is the
+//! contiguous run of entries `c·2^n .. (c+1)·2^n`. A unitary `U` on qubits
+//! `qs` is `U` on the row bits and `conj(U)` on the column bits; a Kraus
+//! channel is a sum of such terms.
+//!
+//! Every op — a gate, a channel, or a gate with the channels a noise model
+//! attaches to it — is one *tile pass* over the register. A tile is the
+//! `2^k × 2^k` entries that differ only in the row and column bits of the
+//! op's `k` operands; every attached channel acts on the gate's operands,
+//! so the gate, its conjugate and the channels all stay inside the tile.
+//! The pass walks the register one block at a time — the `2^k` columns
+//! that differ only in the operands' column bits, holding whole tiles —
+//! and runs each op on the block while it is in cache:
+//!
+//! - the row side through the register kernels of [`crate::kernel`], one
+//!   column at a time;
+//! - the column side across the block's columns, with the same per-group
+//!   arithmetic (`apply_across_lanes`);
+//! - depolarizing noise by the twirl identity, streamed over the block's
+//!   tiles;
+//! - a Kraus channel with one term in place, with several as a sum from
+//!   zero in Kraus order.
+//!
+//! Every entry sees the same operations in the same order as it did when
+//! the gate's sides and each channel swept the whole register in turn, so
+//! results are bit for bit those of that sequence
+//! (`crates/sim/tests/density_tile_pass.rs` keeps it as the oracle).
 
-use crate::kernel;
+use crate::kernel::{self, KernelClass};
+use crate::noise::{ChannelKind, KrausChannel, NoiseModel};
 use crate::statevector::StateVector;
 use qt_circuit::{Circuit, Instruction};
 use qt_math::{Complex, Matrix};
@@ -119,109 +143,96 @@ impl DensityMatrix {
         m
     }
 
-    /// Applies a unitary operator on `qubits`: the operator is classified
-    /// once and the matching specialized kernel runs on the row side and
-    /// (conjugated) on the column side.
-    pub fn apply_unitary(&mut self, u: &Matrix, qubits: &[usize]) {
-        self.apply_class_two_sided(&kernel::KernelClass::classify(u), qubits);
-    }
-
-    /// Applies a pre-classified operator to both sides of the vectorized
-    /// density matrix: `class` on the row bits, `class.conj()` on the
-    /// column bits.
-    fn apply_class_two_sided(&mut self, class: &kernel::KernelClass, qubits: &[usize]) {
-        let col_qubits: Vec<usize> = qubits.iter().map(|&q| q + self.n).collect();
-        kernel::apply_classified(&mut self.amps, 2 * self.n, class, qubits);
-        kernel::apply_classified(&mut self.amps, 2 * self.n, &class.conj(), &col_qubits);
-    }
-
-    /// Applies one circuit instruction (unitarily).
+    /// Applies one circuit instruction (unitarily), in one tile pass.
     pub fn apply_instruction(&mut self, instr: &Instruction) {
-        let class = kernel::KernelClass::for_gate(&instr.gate);
-        self.apply_class_two_sided(&class, &instr.qubits);
+        let ops = TileKind::unitary(KernelClass::for_gate(&instr.gate))
+            .map(|kind| TileOp::new(&instr.qubits, &instr.qubits, kind));
+        self.tile_pass(&instr.qubits, ops.as_slice());
+    }
+
+    /// Applies one instruction and then every channel `noise` attaches to
+    /// it, in [`NoiseModel::channels_for`] order, in one tile pass over the
+    /// instruction's operands (every attached channel acts on a subset of
+    /// them).
+    pub fn apply_noisy_instruction(&mut self, instr: &Instruction, noise: &NoiseModel) {
+        let qs = &instr.qubits;
+        let gate = TileKind::unitary(KernelClass::for_gate(&instr.gate));
+        let channels = noise.channels_for(instr);
+        let ops: Vec<TileOp> = gate
+            .map(|kind| TileOp::new(qs, qs, kind))
+            .into_iter()
+            .chain(channels.iter().filter_map(|(ch_qs, ch)| {
+                TileKind::channel(ch, ch_qs.len()).map(|kind| TileOp::new(qs, ch_qs, kind))
+            }))
+            .collect();
+        self.tile_pass(qs, &ops);
     }
 
     /// Applies a noise channel, dispatching to the depolarizing fast path
     /// when available.
-    pub fn apply_channel(&mut self, channel: &crate::noise::KrausChannel, qubits: &[usize]) {
-        match channel.kind() {
-            crate::noise::ChannelKind::Depolarizing { p } => {
-                self.apply_depolarizing(qubits, p);
-            }
-            crate::noise::ChannelKind::General => self.apply_kraus(channel.ops(), qubits),
-        }
+    pub fn apply_channel(&mut self, channel: &KrausChannel, qubits: &[usize]) {
+        let op =
+            TileKind::channel(channel, qubits.len()).map(|kind| TileOp::new(qubits, qubits, kind));
+        self.tile_pass(qubits, op.as_slice());
     }
 
     /// Depolarizing fast path via the twirl identity:
     /// `ρ → (1−λ)ρ + λ·(I/2^k ⊗ tr_q ρ)` with `λ = 4^k·p / (4^k − 1)`.
     ///
-    /// Runs fully in place: for each pair of rest-register indices the
-    /// subset trace is a scalar, so no clone of the register (or any
-    /// full-size scratch buffer) is needed.
+    /// Runs in one pass: within each tile the subset trace is a scalar, so
+    /// no full-size scratch buffer is needed.
     pub fn apply_depolarizing(&mut self, qubits: &[usize], p: f64) {
-        if p <= 0.0 {
-            return;
-        }
-        let k = qubits.len();
-        let dim_local = 1usize << k;
-        let lambda = (dim_local * dim_local) as f64 * p / ((dim_local * dim_local - 1) as f64);
-        let keep = 1.0 - lambda;
-        let mix = lambda / dim_local as f64;
-
-        // Operand bit positions on the row and column side of the flat
-        // `row | (col << n)` index.
-        let mut all: Vec<usize> = qubits.iter().flat_map(|&q| [q, q + self.n]).collect();
-        all.sort_unstable();
-        let row_offsets = kernel::local_offsets_shifted(qubits, 0);
-        let col_offsets = kernel::local_offsets_shifted(qubits, self.n);
-
-        let outer = self.amps.len() >> (2 * k);
-        for o in 0..outer {
-            let base = kernel::expand_index(o, &all);
-            // Subset trace for this (row-rest, col-rest) pair.
-            let mut t = Complex::ZERO;
-            for (ro, co) in row_offsets.iter().zip(&col_offsets) {
-                t += self.amps[base | ro | co];
-            }
-            let tmix = t.scale(mix);
-            for (xr, ro) in row_offsets.iter().enumerate() {
-                for (xc, co) in col_offsets.iter().enumerate() {
-                    let idx = base | ro | co;
-                    let mut v = self.amps[idx].scale(keep);
-                    if xr == xc {
-                        v += tmix;
-                    }
-                    self.amps[idx] = v;
-                }
-            }
-        }
+        let op =
+            TileKind::depolarizing(qubits.len(), p).map(|kind| TileOp::new(qubits, qubits, kind));
+        self.tile_pass(qubits, op.as_slice());
     }
 
     /// Applies a Kraus channel `ρ → Σᵢ Kᵢ ρ Kᵢ†` on `qubits`.
     ///
     /// Each operator is classified once and applied through the specialized
-    /// kernels; a single scratch buffer is reused across terms instead of
-    /// cloning the register once per Kraus operator.
+    /// per-group arithmetic, tile by tile, so no full-size buffer is
+    /// allocated; a single term acts in place like a (possibly non-unitary)
+    /// gate.
     pub fn apply_kraus(&mut self, kraus: &[Matrix], qubits: &[usize]) {
-        let classes: Vec<kernel::KernelClass> =
-            kraus.iter().map(kernel::KernelClass::classify).collect();
-        if let [class] = classes.as_slice() {
-            // A single Kraus term acts like a (possibly non-unitary) gate.
-            self.apply_class_two_sided(class, qubits);
+        let op = TileKind::kraus(kraus).map(|kind| TileOp::new(qubits, qubits, kind));
+        self.tile_pass(qubits, op.as_slice());
+    }
+
+    /// Runs `ops` in order on every tile of `qubits` — the `2^k × 2^k`
+    /// entries that differ only in the operands' row and column bits — in
+    /// one pass over the register. The pass walks it one block at a time:
+    /// the `2^k` columns that differ only in the operands' column bits, so
+    /// every tile lies inside one block and the ops evolve the block while
+    /// it is in cache. A register of at least [`kernel::PARALLEL_MIN_AMPS`]
+    /// entries fans its blocks out by the slab rule of the column side
+    /// (period `2^(top + n + 1)`).
+    fn tile_pass(&mut self, qubits: &[usize], ops: &[TileOp]) {
+        if ops.is_empty() {
             return;
         }
-        let col_qubits: Vec<usize> = qubits.iter().map(|&q| q + self.n).collect();
-        let mut acc = vec![Complex::ZERO; self.amps.len()];
-        let mut scratch = vec![Complex::ZERO; self.amps.len()];
-        for class in &classes {
-            scratch.copy_from_slice(&self.amps);
-            kernel::apply_classified(&mut scratch, 2 * self.n, class, qubits);
-            kernel::apply_classified(&mut scratch, 2 * self.n, &class.conj(), &col_qubits);
-            for (a, t) in acc.iter_mut().zip(&scratch) {
-                *a += *t;
+        let n = self.n;
+        // Column index of each of a block's columns, by local column index.
+        let lane_columns = kernel::local_offsets_shifted(qubits, 0);
+        let mut sorted = qubits.to_vec();
+        sorted.sort_unstable();
+        let top = sorted.last().copied().unwrap_or(0);
+        kernel::for_each_slab(&mut self.amps, 1 << (top + n + 1), |slab| {
+            let mut columns: Vec<Option<&mut [Complex]>> =
+                slab.chunks_exact_mut(1 << n).map(Some).collect();
+            let mut block = Vec::with_capacity(lane_columns.len());
+            for b in 0..columns.len() >> qubits.len() {
+                let first = kernel::expand_index(b, &sorted);
+                block.clear();
+                block.extend(lane_columns.iter().map(|&c| {
+                    columns[first | c]
+                        .take()
+                        .expect("each column lies in one block")
+                }));
+                for op in ops {
+                    op.apply(&mut block);
+                }
             }
-        }
-        self.amps = acc;
+        });
     }
 
     /// The diagonal (outcome probabilities in the computational basis).
@@ -405,6 +416,227 @@ impl DensityMatrix {
     }
 }
 
+/// What one op of a tile pass does to the tiles of a block.
+#[derive(Debug)]
+enum TileKind {
+    /// A gate or a one-term Kraus channel: the class on the row bits, then
+    /// its conjugate on the column bits.
+    TwoSided(KernelClass, KernelClass),
+    /// The twirl identity of [`DensityMatrix::apply_depolarizing`].
+    Depolarizing {
+        /// `1 − λ`.
+        keep: f64,
+        /// `λ / 2^j`.
+        mix: f64,
+    },
+    /// `Σᵢ Kᵢ ρ Kᵢ†`, each term two-sided, summed from zero in Kraus order.
+    Kraus(Vec<(KernelClass, KernelClass)>),
+}
+
+impl TileKind {
+    /// A unitary (or one-term Kraus) op; `None` for a unit phase, which
+    /// every kernel skips.
+    fn unitary(class: KernelClass) -> Option<TileKind> {
+        if matches!(class, KernelClass::ControlledPhase { phase } if phase == Complex::ONE) {
+            return None;
+        }
+        let conj = class.conj();
+        Some(TileKind::TwoSided(class, conj))
+    }
+
+    /// The depolarizing channel on `k` qubits; `None` when `p ≤ 0`.
+    fn depolarizing(k: usize, p: f64) -> Option<TileKind> {
+        if p <= 0.0 {
+            return None;
+        }
+        let dim_local = 1usize << k;
+        let lambda = (dim_local * dim_local) as f64 * p / ((dim_local * dim_local - 1) as f64);
+        Some(TileKind::Depolarizing {
+            keep: 1.0 - lambda,
+            mix: lambda / dim_local as f64,
+        })
+    }
+
+    /// A Kraus channel from its operators, each classified once.
+    fn kraus(kraus: &[Matrix]) -> Option<TileKind> {
+        let mut terms: Vec<(KernelClass, KernelClass)> = kraus
+            .iter()
+            .map(|k| {
+                let class = KernelClass::classify(k);
+                let conj = class.conj();
+                (class, conj)
+            })
+            .collect();
+        if terms.len() == 1 {
+            return TileKind::unitary(terms.remove(0).0);
+        }
+        Some(TileKind::Kraus(terms))
+    }
+
+    /// A noise channel on `k` qubits, depolarizing by its fast path.
+    fn channel(channel: &KrausChannel, k: usize) -> Option<TileKind> {
+        match channel.kind() {
+            ChannelKind::Depolarizing { p } => TileKind::depolarizing(k, p),
+            ChannelKind::General => TileKind::kraus(channel.ops()),
+        }
+    }
+
+    /// Evolves the tiles of `lanes` — columns differing only in the op's
+    /// column bits, lane `l` at local column `l` — on the row qubits
+    /// `qubits` (in op order).
+    fn apply(&self, lanes: &mut [&mut [Complex]], qubits: &[usize]) {
+        match self {
+            TileKind::TwoSided(row, col) => two_sided(row, col, lanes, qubits),
+            TileKind::Depolarizing { keep, mix } => depolarize(lanes, qubits, *keep, *mix),
+            TileKind::Kraus(terms) => {
+                let len = lanes[0].len();
+                let mut acc = vec![Complex::ZERO; len * lanes.len()];
+                let mut term = vec![Complex::ZERO; len * lanes.len()];
+                for (row, col) in terms {
+                    let mut term_lanes: Vec<&mut [Complex]> = term.chunks_exact_mut(len).collect();
+                    for (dst, src) in term_lanes.iter_mut().zip(lanes.iter()) {
+                        dst.copy_from_slice(src);
+                    }
+                    two_sided(row, col, &mut term_lanes, qubits);
+                    for (a, &t) in acc.iter_mut().zip(&term) {
+                        *a += t;
+                    }
+                }
+                for (lane, src) in lanes.iter_mut().zip(acc.chunks_exact(len)) {
+                    lane.copy_from_slice(src);
+                }
+            }
+        }
+    }
+}
+
+/// `row` on the row bits `qubits` of every lane (a column of the density
+/// matrix) through the register kernels, then `col` across the lanes.
+fn two_sided(row: &KernelClass, col: &KernelClass, lanes: &mut [&mut [Complex]], qubits: &[usize]) {
+    for lane in lanes.iter_mut() {
+        kernel::apply_to_slab(lane, row, qubits);
+    }
+    kernel::apply_across_lanes(col, lanes);
+}
+
+/// The twirl identity on every tile of `lanes`: the trace over the
+/// diagonal, summed from zero in operand order, then every entry scaled by
+/// `keep` and the diagonal raised by `mix` times the trace.
+fn depolarize(lanes: &mut [&mut [Complex]], qubits: &[usize], keep: f64, mix: f64) {
+    if let ([q], [l0, l1]) = (qubits, &mut *lanes) {
+        // One qubit: stream the four entries of each tile in runs.
+        let b = 1usize << q;
+        for (c0, c1) in l0.chunks_exact_mut(2 * b).zip(l1.chunks_exact_mut(2 * b)) {
+            let (a00, a10) = c0.split_at_mut(b);
+            let (a01, a11) = c1.split_at_mut(b);
+            let diagonals = a00.iter_mut().zip(a11.iter_mut());
+            for ((x00, x11), (x10, x01)) in diagonals.zip(a10.iter_mut().zip(a01.iter_mut())) {
+                let mut t = Complex::ZERO;
+                t += *x00;
+                t += *x11;
+                let tmix = t.scale(mix);
+                *x00 = x00.scale(keep) + tmix;
+                *x10 = x10.scale(keep);
+                *x01 = x01.scale(keep);
+                *x11 = x11.scale(keep) + tmix;
+            }
+        }
+        return;
+    }
+    // Any width: each tile's trace from its diagonal, then every entry
+    // scaled, then the diagonal raised. `next` steps a row index to the
+    // next one with every operand bit clear.
+    let rows = kernel::local_offsets_shifted(qubits, 0);
+    let mask: usize = rows.last().copied().unwrap_or(0);
+    let next = |r: usize| ((r | mask) + 1) & !mask;
+    let mut trace = vec![Complex::ZERO; lanes[0].len() >> qubits.len()];
+    for (lane, &off) in lanes.iter().zip(&rows) {
+        let mut r = 0;
+        for t in trace.iter_mut() {
+            *t += lane[r | off];
+            r = next(r);
+        }
+    }
+    for t in &mut trace {
+        *t = t.scale(mix);
+    }
+    for (lane, &off) in lanes.iter_mut().zip(&rows) {
+        for v in lane.iter_mut() {
+            *v = v.scale(keep);
+        }
+        let mut r = 0;
+        for &t in &trace {
+            lane[r | off] += t;
+            r = next(r);
+        }
+    }
+}
+
+/// One op of a tile pass: its kind and where it acts within a block.
+#[derive(Debug)]
+struct TileOp {
+    kind: TileKind,
+    /// The op's operands, in the op's order.
+    qubits: Vec<usize>,
+    /// For a one-qubit op on one operand of a wider tile, the bit of that
+    /// operand in a block's local column index; `None` when the op acts on
+    /// all of the tile's operands in the tile's order.
+    operand_bit: Option<usize>,
+}
+
+impl TileOp {
+    /// `kind` on `op_qubits` (in the op's operand order) within the tiles of
+    /// `tile_qubits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op is neither on the tile's operands in their order nor
+    /// on a single one of them (the shapes [`NoiseModel::channels_for`]
+    /// attaches), or if a class's operand count differs from the op's.
+    fn new(tile_qubits: &[usize], op_qubits: &[usize], kind: TileKind) -> TileOp {
+        let classes: Vec<&KernelClass> = match &kind {
+            TileKind::TwoSided(class, _) => vec![class],
+            TileKind::Depolarizing { .. } => vec![],
+            TileKind::Kraus(terms) => terms.iter().map(|(class, _)| class).collect(),
+        };
+        for class in classes {
+            if let Some(k) = class.n_qubits() {
+                assert_eq!(
+                    k,
+                    op_qubits.len(),
+                    "kernel class does not match operand count"
+                );
+            }
+        }
+        let operand_bit = (op_qubits != tile_qubits).then(|| {
+            match op_qubits {
+                [q] => tile_qubits.iter().position(|t| t == q),
+                _ => None,
+            }
+            .unwrap_or_else(|| panic!("op on {op_qubits:?} within a tile of {tile_qubits:?}"))
+        });
+        TileOp {
+            kind,
+            qubits: op_qubits.to_vec(),
+            operand_bit,
+        }
+    }
+
+    /// Evolves the tiles of one block (lane `l` = local column `l`).
+    fn apply(&self, block: &mut [&mut [Complex]]) {
+        let Some(p) = self.operand_bit else {
+            self.kind.apply(block, &self.qubits);
+            return;
+        };
+        for l in (0..block.len()).filter(|l| l >> p & 1 == 0) {
+            let [lo, hi] = block
+                .get_disjoint_mut([l, l | 1 << p])
+                .expect("distinct lanes");
+            self.kind.apply(&mut [&mut **lo, &mut **hi], &self.qubits);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,6 +791,54 @@ mod tests {
         let b = rho.marginal_probabilities(&[2, 1]);
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn fanned_out_pass_matches_the_serial_pass_bit_for_bit() {
+        // 10 qubits fill `PARALLEL_MIN_AMPS`, so the test thread fans each
+        // pass out over its slabs (on ≥ 2 CPUs) while a `parallel_indexed`
+        // worker runs it serially; the top qubit's pass is one slab.
+        let n = 10;
+        assert_eq!(1usize << (2 * n), kernel::PARALLEL_MIN_AMPS);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let start = DensityMatrix {
+            n,
+            amps: (0..1usize << (2 * n))
+                .map(|_| Complex::new(next(), next()))
+                .collect(),
+        };
+        let mut noise = NoiseModel::depolarizing(0.01, 0.05);
+        noise.two_qubit.per_operand = vec![KrausChannel::thermal_relaxation(90.0, 70.0, 40.0)];
+        let gates = [
+            Instruction::new(qt_circuit::Gate::H, vec![0]),
+            Instruction::new(qt_circuit::Gate::Cx, vec![5, 4]),
+            Instruction::new(qt_circuit::Gate::Ry(0.3), vec![9]),
+        ];
+        let evolve = || {
+            let mut rho = start.clone();
+            for g in &gates {
+                rho.apply_noisy_instruction(g, &noise);
+            }
+            rho
+        };
+        let fanned = evolve();
+        let serial = crate::backend::parallel_indexed(2, 2, |i| (i == 0).then(evolve))
+            .into_iter()
+            .flatten()
+            .next()
+            .expect("item 0 evolves");
+        for (i, (a, b)) in fanned.amps.iter().zip(&serial.amps).enumerate() {
+            assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "entry {i}: {a:?} fanned out, {b:?} serial"
+            );
         }
     }
 

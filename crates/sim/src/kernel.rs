@@ -30,6 +30,13 @@
 //! [`crate::backend::parallel_indexed`]); in-place kernels write each
 //! amplitude exactly once from fixed inputs, so the parallel path is
 //! bit-identical to the serial one regardless of worker count.
+//!
+//! The arithmetic of one group is written once — `butterfly` (dense 2×2
+//! and controlled blocks), `product4`, `monomial` and `generic_row` — and
+//! shared by the register kernels and by `apply_across_lanes`, which
+//! applies a class across equal-length slices: the column side of the
+//! density matrix's tile pass (see [`crate::density`]), whose row side runs
+//! the register kernels column by column.
 
 use crate::backend::{available_threads, parallel_chunks_mut};
 use qt_circuit::Gate;
@@ -374,30 +381,32 @@ pub fn apply_classified(amps: &mut [Complex], n: usize, class: &KernelClass, qs:
     debug_assert!(qs.iter().all(|&q| q < n));
     let period = 1usize << (qs.iter().max().copied().unwrap_or(0) + 1);
     match class {
-        KernelClass::Diagonal { factors } => {
-            for_each_slab(amps, period, |slab| diagonal_kernel(slab, qs, factors));
-        }
-        KernelClass::Permutation { perm, factors } => {
-            for_each_slab(amps, period, |slab| {
-                permutation_kernel(slab, qs, perm, factors)
-            });
-        }
-        KernelClass::ControlledPhase { phase } => {
-            if *phase == Complex::ONE {
-                return; // identity
-            }
-            for_each_slab(amps, period, |slab| {
-                controlled_phase_kernel(slab, qs, *phase)
-            });
-        }
-        KernelClass::SingleQubitDense { m } => {
-            for_each_slab(amps, period, |slab| butterfly_kernel(slab, qs[0], m));
-        }
-        KernelClass::TwoQubitDense { m, control } => match control {
-            Some(cb) => for_each_slab(amps, period, |slab| controlled_dense_kernel(slab, qs, cb)),
-            None => for_each_slab(amps, period, |slab| two_qubit_dense_kernel(slab, qs, m)),
-        },
         KernelClass::General(u) => apply_op_generic(amps, n, u, qs),
+        KernelClass::ControlledPhase { phase } if *phase == Complex::ONE => {} // identity
+        _ => for_each_slab(amps, period, |slab| apply_to_slab(slab, class, qs)),
+    }
+}
+
+/// Runs the kernel of `class` serially over `slab`, a register of its own
+/// (any whole number of the gate's periods, such as one column of a
+/// density matrix).
+pub(crate) fn apply_to_slab(slab: &mut [Complex], class: &KernelClass, qs: &[usize]) {
+    match class {
+        KernelClass::Diagonal { factors } => diagonal_kernel(slab, qs, factors),
+        KernelClass::Permutation { perm, factors } => permutation_kernel(slab, qs, perm, factors),
+        KernelClass::ControlledPhase { phase } => {
+            if *phase != Complex::ONE {
+                controlled_phase_kernel(slab, qs, *phase);
+            }
+        }
+        KernelClass::SingleQubitDense { m } => butterfly_kernel(slab, qs[0], m),
+        KernelClass::TwoQubitDense {
+            control: Some(cb), ..
+        } => controlled_dense_kernel(slab, qs, cb),
+        KernelClass::TwoQubitDense { m, control: None } => two_qubit_dense_kernel(slab, qs, m),
+        KernelClass::General(u) => {
+            apply_op_generic(slab, slab.len().trailing_zeros() as usize, u, qs);
+        }
     }
 }
 
@@ -415,7 +424,7 @@ pub fn apply_classified(amps: &mut [Complex], n: usize, class: &KernelClass, qs:
 /// period reaches the array length, leaving a single slab). Called from
 /// inside a `parallel_indexed` worker (a batch's work pool), the fan-out
 /// runs serially on that worker.
-fn for_each_slab<F>(amps: &mut [Complex], period: usize, kernel: F)
+pub(crate) fn for_each_slab<F>(amps: &mut [Complex], period: usize, kernel: F)
 where
     F: Fn(&mut [Complex]) + Sync,
 {
@@ -464,6 +473,131 @@ pub(crate) fn local_offsets_shifted(qs: &[usize], shift: usize) -> Vec<usize> {
         }
     }
     offsets
+}
+
+/// One pair of a dense 2×2 operator: `m · (x, y)`, `m` row-major. The
+/// butterfly and controlled-block kernels and the density-matrix tile pass
+/// all run this arithmetic.
+#[inline(always)]
+fn butterfly(m: &[Complex; 4], x: Complex, y: Complex) -> (Complex, Complex) {
+    (m[0] * x + m[1] * y, m[2] * x + m[3] * y)
+}
+
+/// One four-amplitude group of a dense 4×4 operator: `m · g`, `m`
+/// row-major, each row summed left to right.
+#[inline(always)]
+fn product4(m: &[Complex; 16], g: [Complex; 4]) -> [Complex; 4] {
+    std::array::from_fn(|r| {
+        m[r * 4] * g[0] + m[r * 4 + 1] * g[1] + m[r * 4 + 2] * g[2] + m[r * 4 + 3] * g[3]
+    })
+}
+
+/// One group of a monomial operator: `out[perm[c]] = factors[c] · g[c]`.
+#[inline(always)]
+fn monomial(perm: &[u8], factors: &[Complex], g: &[Complex], out: &mut [Complex]) {
+    for ((&p, &f), &x) in perm.iter().zip(factors).zip(g) {
+        out[p as usize] = f * x;
+    }
+}
+
+/// Row `r` of one group of a dense operator: the nonzero entries of row `r`
+/// of `u` times `g`, summed from zero in column order.
+#[inline(always)]
+fn generic_row(u: &Matrix, g: &[Complex], r: usize) -> Complex {
+    let mut acc = Complex::ZERO;
+    for (c, &x) in g.iter().enumerate() {
+        let m = u[(r, c)];
+        if m != Complex::ZERO {
+            acc += m * x;
+        }
+    }
+    acc
+}
+
+/// Applies `class` across `lanes` — equal-length slices, lane `l` holding
+/// local index `l` — to every group `(lanes[0][i], …, lanes[D−1][i])`.
+/// Each class does to a group exactly what its register kernel does to
+/// every group: a one-qubit diagonal skips its unit factors, a unit phase
+/// is skipped, CX and a unit one-qubit flip swap without multiplying, and
+/// every other monomial multiplies each entry. The column side of a
+/// density matrix runs here, with the columns that differ only in the
+/// operands' column bits as lanes.
+pub(crate) fn apply_across_lanes(class: &KernelClass, lanes: &mut [&mut [Complex]]) {
+    let len = lanes.first().map_or(0, |lane| lane.len());
+    match class {
+        KernelClass::Diagonal { factors } => {
+            let skip_unit = factors.len() == 2;
+            for (lane, &f) in lanes.iter_mut().zip(factors) {
+                if !(skip_unit && f == Complex::ONE) {
+                    for a in lane.iter_mut() {
+                        *a *= f;
+                    }
+                }
+            }
+        }
+        KernelClass::ControlledPhase { phase } => {
+            if let (false, Some(lane)) = (*phase == Complex::ONE, lanes.last_mut()) {
+                for a in lane.iter_mut() {
+                    *a *= *phase;
+                }
+            }
+        }
+        KernelClass::Permutation { perm, factors }
+            if factors.iter().all(|&f| f == Complex::ONE)
+                && matches!(perm.as_slice(), [0, 3, 2, 1] | [1, 0]) =>
+        {
+            let pair = if perm.len() == 4 { [1, 3] } else { [0, 1] };
+            let [a, b] = lanes.get_disjoint_mut(pair).expect("distinct lanes");
+            a.swap_with_slice(b);
+        }
+        KernelClass::SingleQubitDense { m } => {
+            let [a, b] = lanes.get_disjoint_mut([0, 1]).expect("two lanes");
+            for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                (*x, *y) = butterfly(m, *x, *y);
+            }
+        }
+        KernelClass::TwoQubitDense {
+            control: Some(cb), ..
+        } => {
+            let lo = if cb.control == 0 { 1 } else { 2 };
+            let [a, b] = lanes.get_disjoint_mut([lo, 3]).expect("four lanes");
+            for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                (*x, *y) = butterfly(&cb.block, *x, *y);
+            }
+        }
+        KernelClass::TwoQubitDense { m, control: None } => {
+            for i in 0..len {
+                let out = product4(m, [0, 1, 2, 3].map(|l| lanes[l][i]));
+                for (lane, x) in lanes.iter_mut().zip(out) {
+                    lane[i] = x;
+                }
+            }
+        }
+        KernelClass::Permutation { perm, factors } => {
+            let (mut src, mut out) = ([Complex::ZERO; 8], [Complex::ZERO; 8]);
+            let d = lanes.len();
+            for i in 0..len {
+                for (x, lane) in src.iter_mut().zip(lanes.iter()) {
+                    *x = lane[i];
+                }
+                monomial(perm, factors, &src[..d], &mut out);
+                for (lane, &x) in lanes.iter_mut().zip(&out) {
+                    lane[i] = x;
+                }
+            }
+        }
+        KernelClass::General(u) => {
+            let mut src = vec![Complex::ZERO; lanes.len()];
+            for i in 0..len {
+                for (x, lane) in src.iter_mut().zip(lanes.iter()) {
+                    *x = lane[i];
+                }
+                for (r, lane) in lanes.iter_mut().enumerate() {
+                    lane[i] = generic_row(u, &src, r);
+                }
+            }
+        }
+    }
 }
 
 /// In-place multiplication by a diagonal operator.
@@ -531,17 +665,16 @@ fn permutation_kernel(slab: &mut [Complex], qs: &[usize], perm: &[u8], factors: 
     // with any other permutation fall through to the general path below.
     if let ([q], [1, 0]) = (qs, perm) {
         let stride = 1usize << q;
-        let (f0, f1) = (factors[0], factors[1]);
-        let trivial = f0 == Complex::ONE && f1 == Complex::ONE;
+        let trivial = factors.iter().all(|&f| f == Complex::ONE);
         for pair in slab.chunks_exact_mut(2 * stride) {
             let (lo, hi) = pair.split_at_mut(stride);
             if trivial {
                 lo.swap_with_slice(hi);
             } else {
                 for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let t = *a;
-                    *a = f1 * *b;
-                    *b = f0 * t;
+                    let mut out = [Complex::ZERO; 2];
+                    monomial(perm, factors, &[*a, *b], &mut out);
+                    [*a, *b] = out;
                 }
             }
         }
@@ -553,12 +686,13 @@ fn permutation_kernel(slab: &mut [Complex], qs: &[usize], perm: &[u8], factors: 
     let mut sorted = qs.to_vec();
     sorted.sort_unstable();
     let offsets = local_offsets(qs);
-    let mut buf = [Complex::ZERO; 8];
+    let (mut g, mut buf) = ([Complex::ZERO; 8], [Complex::ZERO; 8]);
     for o in 0..slab.len() >> k {
         let base = expand_index(o, &sorted);
-        for c in 0..dim_local {
-            buf[perm[c] as usize] = factors[c] * slab[base | offsets[c]];
+        for (x, &off) in g.iter_mut().zip(&offsets) {
+            *x = slab[base | off];
         }
+        monomial(perm, factors, &g[..dim_local], &mut buf);
         for (l, &off) in offsets.iter().enumerate() {
             slab[base | off] = buf[l];
         }
@@ -598,13 +732,10 @@ fn cx_kernel(slab: &mut [Complex], cq: usize, tq: usize) {
 /// Stride-based butterfly for a dense 2×2 operator.
 fn butterfly_kernel(slab: &mut [Complex], q: usize, m: &[Complex; 4]) {
     let stride = 1usize << q;
-    let [m00, m01, m10, m11] = *m;
     for pair in slab.chunks_exact_mut(2 * stride) {
         let (lo, hi) = pair.split_at_mut(stride);
         for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            let (x, y) = (*a, *b);
-            *a = m00 * x + m01 * y;
-            *b = m10 * x + m11 * y;
+            (*a, *b) = butterfly(m, *a, *b);
         }
     }
 }
@@ -616,15 +747,12 @@ fn controlled_dense_kernel(slab: &mut [Complex], qs: &[usize], cb: &ControlledBl
     } else {
         (qs[1], qs[0])
     };
-    let [m00, m01, m10, m11] = cb.block;
     let (cbit, tbit) = (1usize << cq, 1usize << tq);
     let mut sorted = [cq, tq];
     sorted.sort_unstable();
     for o in 0..slab.len() >> 2 {
         let i = expand_index(o, &sorted) | cbit;
-        let (x, y) = (slab[i], slab[i | tbit]);
-        slab[i] = m00 * x + m01 * y;
-        slab[i | tbit] = m10 * x + m11 * y;
+        (slab[i], slab[i | tbit]) = butterfly(&cb.block, slab[i], slab[i | tbit]);
     }
 }
 
@@ -636,10 +764,9 @@ fn two_qubit_dense_kernel(slab: &mut [Complex], qs: &[usize], m: &[Complex; 16])
     for o in 0..slab.len() >> 2 {
         let base = expand_index(o, &sorted);
         let idx = [base, base | b0, base | b1, base | b0 | b1];
-        let g = [slab[idx[0]], slab[idx[1]], slab[idx[2]], slab[idx[3]]];
-        for (r, &i) in idx.iter().enumerate() {
-            slab[i] =
-                m[r * 4] * g[0] + m[r * 4 + 1] * g[1] + m[r * 4 + 2] * g[2] + m[r * 4 + 3] * g[3];
+        let out = product4(m, idx.map(|i| slab[i]));
+        for (&i, v) in idx.iter().zip(out) {
+            slab[i] = v;
         }
     }
 }
@@ -675,15 +802,8 @@ pub fn apply_op_generic(amps: &mut [Complex], n: usize, u: &Matrix, qs: &[usize]
         for (l, g) in gathered.iter_mut().enumerate() {
             *g = amps[base | offsets[l]];
         }
-        for r in 0..dim_local {
-            let mut acc = Complex::ZERO;
-            for (c, &g) in gathered.iter().enumerate() {
-                let m = u[(r, c)];
-                if m != Complex::ZERO {
-                    acc += m * g;
-                }
-            }
-            amps[base | offsets[r]] = acc;
+        for (r, &off) in offsets.iter().enumerate() {
+            amps[base | off] = generic_row(u, &gathered, r);
         }
     }
 }
